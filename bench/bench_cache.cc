@@ -140,21 +140,12 @@ std::vector<KeyDistSpec> DistLadder(const Options& opt) {
   return out;
 }
 
-/// Builds one preloaded instance, the bench_faults way: order-preserving
-/// backends preload during growth, the rest bulk-load afterwards.
+/// BuildPreloaded on uniform keys, with the --latency kernel attached.
 Instance BuildLoaded(const std::string& name, size_t n, uint64_t seed,
                      const Options& opt) {
   workload::UniformKeys preload(1, kDomainHi);
-  overlay::Config cfg = BalancedOverlayConfig();
-  Instance inst;
-  if (overlay::Make(name, cfg)->Supports(overlay::kOrderedGrowth)) {
-    inst = BuildOverlay(name, n, seed, cfg, opt.keys_per_node, &preload);
-  } else {
-    Rng load_rng(Mix64(seed ^ 0x10ad));
-    inst = BuildOverlay(name, n, seed, cfg);
-    LoadOverlay(&inst, opt.keys_per_node, &preload, &load_rng);
-  }
-  AttachLatency(&inst, opt.latency, seed);
+  Instance inst = BuildPreloaded(name, n, seed, opt.keys_per_node, &preload);
+  Attach(&inst, opt, seed);
   return inst;
 }
 
@@ -215,13 +206,13 @@ PassOutcome Replay(Instance* inst, const std::vector<Key>& keys,
 }
 
 SeedResult RunSeed(const std::string& name, size_t n, int s,
-                   const Options& opt) {
+                   const Options& opt, const CacheFlags& flags) {
   uint64_t seed = opt.base_seed + static_cast<uint64_t>(s);
   Instance inst = BuildLoaded(name, n, seed, opt);
   overlay::Overlay* ov = inst.overlay.get();
   cache::Config ccfg;
-  ccfg.capacity = opt.cache_capacity;
-  ccfg.root_levels = opt.cache_levels;
+  ccfg.capacity = flags.capacity;
+  ccfg.root_levels = flags.levels;
 
   SeedResult out;
 
@@ -269,7 +260,7 @@ SeedResult RunSeed(const std::string& name, size_t n, int s,
     std::vector<Key> keys = MakeTrace(hot, opt.queries, seed);
     fault::Policy pol;
     pol.max_retries = 3;
-    pol.timeout_ticks = opt.timeout_ticks;
+    pol.timeout_ticks = flags.timeout_ticks;
     pol.backoff_ticks = 4;
     fault::LinkFaults lf;
     lf.drop = 0.05;
@@ -385,13 +376,13 @@ std::string HitRate(const PassOutcome& p) {
   return Pct(p.cache_hits, p.cache_hits + p.misses + p.cache_stale);
 }
 
-void Run(const Options& opt) {
+void Run(const Options& opt, const CacheFlags& flags) {
   const std::vector<std::string> overlays = SelectedOverlays(opt);
   const std::vector<KeyDistSpec> dists = DistLadder(opt);
   std::vector<SeedTask> tasks = SizeMajorTasks(opt, overlays);
   std::vector<SeedResult> results =
       RunTasks<SeedResult>(tasks, opt.threads, [&](const SeedTask& t) {
-        return RunSeed(t.overlay, t.n, t.seed, opt);
+        return RunSeed(t.overlay, t.n, t.seed, opt, flags);
       });
 
   TablePrinter skew({"N", "overlay", "dist", "hops_uc", "hops_cold",
@@ -489,15 +480,15 @@ void Run(const Options& opt) {
 }  // namespace baton
 
 int main(int argc, char** argv) {
-  baton::bench::Options opt = baton::bench::ParseOptions(argc, argv);
-  // The cache is this bench's subject: default it on at the documented
-  // sizing (--cache=SIZE[,k] still overrides, SIZE > 0 required here).
-  if (!opt.cache_enabled()) opt.cache_capacity = 256;
+  baton::bench::CacheFlags flags;
+  baton::bench::Options opt = baton::bench::ParseOptions(
+      argc, argv, {baton::bench::BackendFlags(), baton::bench::LatencyFlags(),
+                   baton::bench::KeyDistFlags(), flags.Flags()});
   // This bench's JSON table is its primary artifact: default the mirror on.
   if (opt.json_path.empty()) {
     opt.json_path = "BENCH_cache.json";
     baton::bench::SetJsonMirror(opt.json_path);
   }
-  baton::bench::Run(opt);
+  baton::bench::Run(opt, flags);
   return 0;
 }

@@ -64,30 +64,13 @@ SeedSample RunSeed(const std::string& name, size_t n, int s,
   uint64_t seed = opt.base_seed + static_cast<uint64_t>(s);
   workload::UniformKeys keys(1, kDomainHi);
 
-  // Order-preserving backends preload while growing (ranges track the
-  // content median); hash-partitioned ones are insensitive to load order
-  // and get the same data afterwards from a dedicated rng, so the
-  // trace/replay stream below is identical for every backend.
-  overlay::Config cfg = BalancedOverlayConfig();
-  Instance inst;
-  if (overlay::Make(name, cfg)->Supports(overlay::kOrderedGrowth)) {
-    inst = BuildOverlay(name, n, seed, cfg, opt.keys_per_node, &keys);
-  } else {
-    Rng load_rng(Mix64(seed ^ 0x10ad));
-    inst = BuildOverlay(name, n, seed, cfg);
-    LoadOverlay(&inst, opt.keys_per_node, &keys, &load_rng);
-  }
+  Instance inst = BuildPreloaded(name, n, seed, opt.keys_per_node, &keys);
 
-  // Attach the sim kernel after the build: the replayed ops below are
-  // timed, construction is not (and the protocol rng streams are
-  // untouched either way).
-  AttachLatency(&inst, opt.latency, seed);
-  // Same post-build attachment for observability: spans/metrics cover the
-  // replayed ops, not construction, and with neither --trace nor --metrics
+  // Attach the sim kernel and observer after the build: the replayed ops
+  // below are timed and traced, construction is not (and the protocol rng
+  // streams are untouched either way). With neither --trace nor --metrics
   // the overlay runs with a null observer (no per-message work at all).
-  if (opt.obs_enabled()) {
-    AttachObserver(&inst, /*tracing=*/!opt.trace_path.empty());
-  }
+  Attach(&inst, opt, seed);
 
   workload::ChurnMix mix;
   mix.joins = n / 10;
@@ -204,6 +187,9 @@ void Run(const Options& opt) {
 }  // namespace baton
 
 int main(int argc, char** argv) {
-  baton::bench::Run(baton::bench::ParseOptions(argc, argv));
+  baton::bench::Run(baton::bench::ParseOptions(
+      argc, argv,
+      {baton::bench::BackendFlags(), baton::bench::LatencyFlags(),
+       baton::bench::ObsFlags()}));
   return 0;
 }

@@ -94,20 +94,12 @@ struct SeedResult {
 };
 
 SeedResult RunSeed(const std::string& name, size_t n, int s,
-                   const Options& opt) {
+                   const Options& opt, const FaultFlags& faults) {
   uint64_t seed = opt.base_seed + static_cast<uint64_t>(s);
   workload::UniformKeys preload(1, kDomainHi);
 
-  overlay::Config cfg = BalancedOverlayConfig();
-  Instance inst;
-  if (overlay::Make(name, cfg)->Supports(overlay::kOrderedGrowth)) {
-    inst = BuildOverlay(name, n, seed, cfg, opt.keys_per_node, &preload);
-  } else {
-    Rng load_rng(Mix64(seed ^ 0x10ad));
-    inst = BuildOverlay(name, n, seed, cfg);
-    LoadOverlay(&inst, opt.keys_per_node, &preload, &load_rng);
-  }
-  AttachLatency(&inst, opt.latency, seed);
+  Instance inst = BuildPreloaded(name, n, seed, opt.keys_per_node, &preload);
+  Attach(&inst, opt, seed);
   overlay::Overlay* ov = inst.overlay.get();
 
   // One query trace replayed in every cell: exact searches plus (where
@@ -156,21 +148,21 @@ SeedResult RunSeed(const std::string& name, size_t n, int s,
 
   SeedResult out;
   out.baseline = run_cell();  // faults detached: the byte-identical anchor
-  out.cells.assign(opt.drop_rates.size(),
-                   std::vector<CellOutcome>(opt.retry_budgets.size()));
-  for (size_t d = 0; d < opt.drop_rates.size(); ++d) {
-    for (size_t r = 0; r < opt.retry_budgets.size(); ++r) {
+  out.cells.assign(faults.drop_rates.size(),
+                   std::vector<CellOutcome>(faults.retry_budgets.size()));
+  for (size_t d = 0; d < faults.drop_rates.size(); ++d) {
+    for (size_t r = 0; r < faults.retry_budgets.size(); ++r) {
       fault::PlanConfig pcfg;
       pcfg.seed = Mix64(seed ^ (0xfad7u + (d << 8) + r));
       fault::Plan plan(pcfg);
       fault::LinkFaults lf;
-      lf.drop = opt.drop_rates[d];
-      lf.duplicate = opt.dup_rate;
+      lf.drop = faults.drop_rates[d];
+      lf.duplicate = faults.dup_rate;
       plan.SetCategoryFaults(net::MsgCategory::kQuery, lf);
 
       fault::Policy pol;
-      pol.max_retries = opt.retry_budgets[r];
-      pol.timeout_ticks = opt.timeout_ticks;
+      pol.max_retries = faults.retry_budgets[r];
+      pol.timeout_ticks = faults.timeout_ticks;
       pol.backoff_ticks = 4;
       ov->SetResilience(pol);
       ov->AttachFaults(&plan);
@@ -216,12 +208,12 @@ std::string Pct(uint64_t num, uint64_t den) {
                            static_cast<double>(den));
 }
 
-void Run(const Options& opt) {
+void Run(const Options& opt, const FaultFlags& faults) {
   const std::vector<std::string> overlays = SelectedOverlays(opt);
   std::vector<SeedTask> tasks = SizeMajorTasks(opt, overlays);
   std::vector<SeedResult> results =
       RunTasks<SeedResult>(tasks, opt.threads, [&](const SeedTask& t) {
-        return RunSeed(t.overlay, t.n, t.seed, opt);
+        return RunSeed(t.overlay, t.n, t.seed, opt, faults);
       });
 
   TablePrinter table({"N", "overlay", "drop", "retries", "ops", "ok",
@@ -255,26 +247,26 @@ void Run(const Options& opt) {
     for (const std::string& name : overlays) {
       CellOutcome baseline;
       std::vector<std::vector<CellOutcome>> cells(
-          opt.drop_rates.size(),
-          std::vector<CellOutcome>(opt.retry_budgets.size()));
+          faults.drop_rates.size(),
+          std::vector<CellOutcome>(faults.retry_budgets.size()));
       BurstOutcome burst;
       for (int s = 0; s < opt.seeds; ++s) {
         const SeedResult& r = results[idx++];
         baseline.Merge(r.baseline);
-        for (size_t d = 0; d < opt.drop_rates.size(); ++d) {
-          for (size_t b = 0; b < opt.retry_budgets.size(); ++b) {
+        for (size_t d = 0; d < faults.drop_rates.size(); ++d) {
+          for (size_t b = 0; b < faults.retry_budgets.size(); ++b) {
             cells[d][b].Merge(r.cells[d][b]);
           }
         }
         burst.Merge(r.burst);
       }
       add_row(n, name, "none", "0", baseline);
-      for (size_t d = 0; d < opt.drop_rates.size(); ++d) {
+      for (size_t d = 0; d < faults.drop_rates.size(); ++d) {
         char drop[32];
-        std::snprintf(drop, sizeof drop, "%.2f", opt.drop_rates[d]);
-        for (size_t b = 0; b < opt.retry_budgets.size(); ++b) {
+        std::snprintf(drop, sizeof drop, "%.2f", faults.drop_rates[d]);
+        for (size_t b = 0; b < faults.retry_budgets.size(); ++b) {
           char budget[32];
-          std::snprintf(budget, sizeof budget, "%d", opt.retry_budgets[b]);
+          std::snprintf(budget, sizeof budget, "%d", faults.retry_budgets[b]);
           add_row(n, name, drop, budget, cells[d][b]);
         }
       }
@@ -306,12 +298,15 @@ void Run(const Options& opt) {
 }  // namespace baton
 
 int main(int argc, char** argv) {
-  baton::bench::Options opt = baton::bench::ParseOptions(argc, argv);
+  baton::bench::FaultFlags faults;
+  baton::bench::Options opt = baton::bench::ParseOptions(
+      argc, argv, {baton::bench::BackendFlags(), baton::bench::LatencyFlags(),
+                   faults.Flags()});
   // This bench's JSON table is its primary artifact: default the mirror on.
   if (opt.json_path.empty()) {
     opt.json_path = "BENCH_faults.json";
     baton::bench::SetJsonMirror(opt.json_path);
   }
-  baton::bench::Run(opt);
+  baton::bench::Run(opt, faults);
   return 0;
 }

@@ -23,11 +23,13 @@ void ChurnSeries(Instance* inst, Rng* rng,
                  std::initializer_list<net::MsgType> join_types,
                  std::initializer_list<net::MsgType> leave_types,
                  RunningStat* join_stat, RunningStat* leave_stat) {
-  JoinLeaveChurn(
-      inst, rng, kChurnOps,
-      [&](const auto& a, const auto& b) { return SumTypes(a, b, join_types); },
-      [&](const auto& a, const auto& b) { return SumTypes(a, b, leave_types); },
-      join_stat, leave_stat);
+  JoinLeaveChurn(inst, rng, kChurnOps,
+                 [&](const auto& before, const auto& mid, const auto& after) {
+                   join_stat->Add(
+                       static_cast<double>(SumTypes(before, mid, join_types)));
+                   leave_stat->Add(
+                       static_cast<double>(SumTypes(mid, after, leave_types)));
+                 });
 }
 
 void Run(const Options& opt) {

@@ -19,7 +19,11 @@ constexpr int kChurnOps = 100;
 template <typename CostFn>
 void ChurnSeries(Instance* inst, Rng* rng, CostFn&& cost,
                  RunningStat* join_stat, RunningStat* leave_stat) {
-  JoinLeaveChurn(inst, rng, kChurnOps, cost, cost, join_stat, leave_stat);
+  JoinLeaveChurn(inst, rng, kChurnOps,
+                 [&](const auto& before, const auto& mid, const auto& after) {
+                   join_stat->Add(static_cast<double>(cost(before, mid)));
+                   leave_stat->Add(static_cast<double>(cost(mid, after)));
+                 });
 }
 
 void Run(const Options& opt) {

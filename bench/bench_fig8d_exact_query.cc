@@ -67,6 +67,7 @@ void Run(const Options& opt) {
 }  // namespace baton
 
 int main(int argc, char** argv) {
-  baton::bench::Run(baton::bench::ParseOptions(argc, argv));
+  baton::bench::Run(baton::bench::ParseOptions(
+      argc, argv, {baton::bench::KeyDistFlags()}));
   return 0;
 }

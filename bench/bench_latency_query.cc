@@ -69,19 +69,8 @@ SeedSample RunSeed(const std::string& name, size_t n, int s,
   std::unique_ptr<workload::KeyGenerator> query_keys =
       MakeKeyGenerator(qdist, 1, kDomainHi);
 
-  overlay::Config cfg = BalancedOverlayConfig();
-  Instance inst;
-  if (overlay::Make(name, cfg)->Supports(overlay::kOrderedGrowth)) {
-    inst = BuildOverlay(name, n, seed, cfg, opt.keys_per_node, &keys);
-  } else {
-    Rng load_rng(Mix64(seed ^ 0x10ad));
-    inst = BuildOverlay(name, n, seed, cfg);
-    LoadOverlay(&inst, opt.keys_per_node, &keys, &load_rng);
-  }
-  AttachLatency(&inst, opt.latency, seed);
-  if (opt.obs_enabled()) {
-    AttachObserver(&inst, /*tracing=*/!opt.trace_path.empty());
-  }
+  Instance inst = BuildPreloaded(name, n, seed, opt.keys_per_node, &keys);
+  Attach(&inst, opt, seed);
 
   Rng rng(Mix64(seed ^ 0x1a7e));
   for (int q = 0; q < opt.queries; ++q) {
@@ -173,7 +162,9 @@ void Run(const Options& opt) {
 }  // namespace baton
 
 int main(int argc, char** argv) {
-  baton::bench::Options opt = baton::bench::ParseOptions(argc, argv);
+  baton::bench::Options opt = baton::bench::ParseOptions(
+      argc, argv, {baton::bench::BackendFlags(), baton::bench::LatencyFlags(),
+                   baton::bench::ObsFlags(), baton::bench::KeyDistFlags()});
   if (!opt.latency.enabled()) {
     // A latency bench without a latency model would print zeros; default to
     // one tick per hop so ticks read as sequential-hop equivalents.

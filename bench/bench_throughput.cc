@@ -106,20 +106,12 @@ RunOutcome Outcome(const serve::EngineResult& res, double offered) {
 }
 
 SeedResult RunSeed(const std::string& name, size_t n, int s,
-                   const Options& opt,
+                   const Options& opt, const ServeFlags& serve,
                    const std::vector<KeyDistSpec>& dists) {
   uint64_t seed = opt.base_seed + static_cast<uint64_t>(s);
   workload::UniformKeys preload(1, kDomainHi);
 
-  overlay::Config cfg = BalancedOverlayConfig();
-  Instance inst;
-  if (overlay::Make(name, cfg)->Supports(overlay::kOrderedGrowth)) {
-    inst = BuildOverlay(name, n, seed, cfg, opt.keys_per_node, &preload);
-  } else {
-    Rng load_rng(Mix64(seed ^ 0x10ad));
-    inst = BuildOverlay(name, n, seed, cfg);
-    LoadOverlay(&inst, opt.keys_per_node, &preload, &load_rng);
-  }
+  Instance inst = BuildPreloaded(name, n, seed, opt.keys_per_node, &preload);
 
   // One pure exact-search trace per distribution; queries mutate nothing,
   // so every engine run replays against the identical overlay state, and a
@@ -137,21 +129,21 @@ SeedResult RunSeed(const std::string& name, size_t n, int s,
   }
 
   serve::EngineConfig ecfg;
-  ecfg.service_ticks = opt.service_ticks;
+  ecfg.service_ticks = serve.service_ticks;
   ecfg.hop_latency = 1;
-  ecfg.max_queue = opt.max_queue;
-  ecfg.timeout_ticks = opt.timeout_ticks;
+  ecfg.max_queue = serve.max_queue;
+  ecfg.timeout_ticks = serve.timeout_ticks;
   // --stragglers=K:F marks K members (picked deterministically per seed) as
   // F-times-slower servers; the knee then tracks the slowest hot node, not
   // the fleet average.
-  if (opt.stragglers > 0) {
+  if (serve.stragglers > 0) {
     std::vector<net::PeerId> picks = inst.members;
     Rng srng(Mix64(seed ^ 0x57a6));
     srng.Shuffle(&picks);
-    size_t k = std::min(opt.stragglers, picks.size());
+    size_t k = std::min(serve.stragglers, picks.size());
     uint64_t slow = static_cast<uint64_t>(
-        static_cast<double>(opt.service_ticks) * opt.straggler_factor);
-    if (slow <= opt.service_ticks) slow = opt.service_ticks + 1;
+        static_cast<double>(serve.service_ticks) * serve.straggler_factor);
+    if (slow <= serve.service_ticks) slow = serve.service_ticks + 1;
     for (size_t i = 0; i < k; ++i) {
       ecfg.node_service_overrides.emplace_back(picks[i], slow);
     }
@@ -161,7 +153,7 @@ SeedResult RunSeed(const std::string& name, size_t n, int s,
   SeedResult out;
   out.closed.resize(dists.size());
   out.open.assign(dists.size(),
-                  std::vector<RunOutcome>(opt.loads.size()));
+                  std::vector<RunOutcome>(serve.loads.size()));
 
   // Closed-loop calibration runs (also the differential baseline rows).
   std::vector<serve::EngineResult> closed(dists.size());
@@ -179,15 +171,15 @@ SeedResult RunSeed(const std::string& name, size_t n, int s,
       cal.max_node_served > 0
           ? static_cast<double>(cal.completed) /
                 (static_cast<double>(cal.max_node_served) *
-                 static_cast<double>(opt.service_ticks))
-          : 1.0 / static_cast<double>(opt.service_ticks);
+                 static_cast<double>(serve.service_ticks))
+          : 1.0 / static_cast<double>(serve.service_ticks);
 
   for (size_t d = 0; d < dists.size(); ++d) {
-    for (size_t l = 0; l < opt.loads.size(); ++l) {
-      double rate = opt.loads[l] * capacity;
+    for (size_t l = 0; l < serve.loads.size(); ++l) {
+      double rate = serve.loads[l] * capacity;
       uint64_t aseed = Mix64(seed ^ (0xa881 + (d << 8) + l));
       std::unique_ptr<serve::Arrivals> arrivals;
-      if (opt.arrivals == "fixed") {
+      if (serve.arrivals == "fixed") {
         arrivals = std::make_unique<serve::FixedArrivals>(rate);
       } else {
         arrivals = std::make_unique<serve::PoissonArrivals>(rate, aseed);
@@ -201,7 +193,7 @@ SeedResult RunSeed(const std::string& name, size_t n, int s,
   return out;
 }
 
-void Run(const Options& opt) {
+void Run(const Options& opt, const ServeFlags& serve) {
   // Distribution series: uniform is always first (it calibrates capacity);
   // default adds zipf:0.9 so skew sensitivity shows up out of the box.
   std::vector<KeyDistSpec> dists;
@@ -222,7 +214,7 @@ void Run(const Options& opt) {
   std::vector<SeedTask> tasks = SizeMajorTasks(opt, overlays);
   std::vector<SeedResult> results =
       RunTasks<SeedResult>(tasks, opt.threads, [&](const SeedTask& t) {
-        return RunSeed(t.overlay, t.n, t.seed, opt, dists);
+        return RunSeed(t.overlay, t.n, t.seed, opt, serve, dists);
       });
 
   TablePrinter table({"N", "overlay", "dist", "load", "offered/kt",
@@ -255,12 +247,12 @@ void Run(const Options& opt) {
     for (const std::string& name : overlays) {
       std::vector<RunOutcome> closed(dists.size());
       std::vector<std::vector<RunOutcome>> open(
-          dists.size(), std::vector<RunOutcome>(opt.loads.size()));
+          dists.size(), std::vector<RunOutcome>(serve.loads.size()));
       for (int s = 0; s < opt.seeds; ++s) {
         const SeedResult& r = results[idx++];
         for (size_t d = 0; d < dists.size(); ++d) {
           closed[d].Merge(r.closed[d]);
-          for (size_t l = 0; l < opt.loads.size(); ++l) {
+          for (size_t l = 0; l < serve.loads.size(); ++l) {
             open[d][l].Merge(r.open[d][l]);
           }
         }
@@ -268,9 +260,9 @@ void Run(const Options& opt) {
       for (size_t d = 0; d < dists.size(); ++d) {
         std::string dist = dists[d].Label();
         add_row(n, name, dist, "closed", closed[d], opt.seeds);
-        for (size_t l = 0; l < opt.loads.size(); ++l) {
+        for (size_t l = 0; l < serve.loads.size(); ++l) {
           char load[32];
-          std::snprintf(load, sizeof load, "%.2f", opt.loads[l]);
+          std::snprintf(load, sizeof load, "%.2f", serve.loads[l]);
           add_row(n, name, dist, load, open[d][l], opt.seeds);
         }
       }
@@ -284,6 +276,10 @@ void Run(const Options& opt) {
 }  // namespace baton
 
 int main(int argc, char** argv) {
-  baton::bench::Run(baton::bench::ParseOptions(argc, argv));
+  baton::bench::ServeFlags serve;
+  baton::bench::Options opt = baton::bench::ParseOptions(
+      argc, argv, {baton::bench::BackendFlags(), baton::bench::KeyDistFlags(),
+                   serve.Flags()});
+  baton::bench::Run(opt, serve);
   return 0;
 }

@@ -33,8 +33,8 @@
 // recorded in ROADMAP.md, not a wall-clock matter.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common/experiment.h"
@@ -117,73 +117,44 @@ Rows RunOne(const std::string& backend, size_t n, int seed_idx,
   int pairs = opt.queries / 2;
   if (phases.churn && pairs > 0) {
     t0 = Clock::now();
-    for (int i = 0; i < pairs; ++i) {
-      auto joined = inst.overlay->Join(
-          inst.members[rng.NextBelow(inst.members.size())]);
-      BATON_CHECK(joined.ok()) << joined.status.ToString();
-      inst.members.push_back(joined.peer);
-      size_t idx = rng.NextBelow(inst.members.size());
-      auto left = inst.overlay->Leave(inst.members[idx]);
-      BATON_CHECK(left.ok()) << left.status.ToString();
-      inst.members.erase(inst.members.begin() + static_cast<long>(idx));
-    }
+    JoinLeaveChurn(&inst, &rng, pairs);
     AddPhaseRow(&rows, backend, n, seed_idx, "churn",
                 static_cast<uint64_t>(2 * pairs), MsSince(t0));
   }
   return rows;
 }
 
-Phases ParsePhases(const char* arg) {
-  Phases p;
-  p.build = p.load = p.replay = p.churn = false;
-  std::string cur;
-  auto take = [&]() {
-    if (cur.empty()) return;
-    if (cur == "build") {
-      p.build = true;
-    } else if (cur == "load") {
-      p.load = true;
-    } else if (cur == "replay") {
-      p.replay = true;
-    } else if (cur == "churn") {
-      p.churn = true;
-    } else {
-      std::fprintf(stderr,
-                   "bad --phases value '%s' (want build,load,replay,churn)\n",
-                   cur.c_str());
-      std::exit(2);
-    }
-    cur.clear();
-  };
-  for (const char* c = arg;; ++c) {
-    if (*c == ',' || *c == '\0') {
-      take();
-      if (*c == '\0') break;
-    } else {
-      cur += *c;
-    }
-  }
-  if (!p.build && !p.load && !p.replay && !p.churn) {
-    std::fprintf(stderr, "--phases needs at least one phase\n");
-    std::exit(2);
-  }
-  return p;
+/// --phases=a,b,...: the phases to report (the build always runs).
+Flag PhasesFlag(Phases* phases) {
+  return {"phases", "a,b,...",
+          "phases to report: build,load,replay,churn\n(default all)",
+          [phases](const char* v, Options*) {
+            *phases = Phases{false, false, false, false};
+            const std::pair<const char*, bool*> kNames[] = {
+                {"build", &phases->build},
+                {"load", &phases->load},
+                {"replay", &phases->replay},
+                {"churn", &phases->churn}};
+            for (const std::string& name : SplitList(v)) {
+              bool known = false;
+              for (const auto& [n, on] : kNames) {
+                if (name == n) known = *on = true;
+              }
+              if (!known) {
+                FlagError("bad --phases value '" + name +
+                          "' (want build,load,replay,churn)");
+              }
+            }
+            if (!phases->build && !phases->load && !phases->replay &&
+                !phases->churn) {
+              FlagError("--phases needs at least one phase");
+            }
+          }};
 }
 
 int Main(int argc, char** argv) {
-  // Strip this bench's own --phases flag before the shared option parser
-  // (which rejects unknown flags) sees the command line.
   Phases phases;
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--phases=", 9) == 0) {
-      phases = ParsePhases(argv[i] + 9);
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  Options opt = ParseOptions(static_cast<int>(rest.size()), rest.data());
+  Options opt = ParseOptions(argc, argv, {BackendFlags(), {PhasesFlag(&phases)}});
   // This bench's JSON table is its primary artifact: default the mirror on.
   if (opt.json_path.empty()) {
     opt.json_path = "BENCH_wallclock.json";

@@ -123,21 +123,6 @@ void MirrorTableToJson(const std::string& title, const TablePrinter& table) {
   std::fflush(g_json.file);
 }
 
-std::vector<std::string> SplitNames(const char* arg) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char* p = arg;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!cur.empty()) out.push_back(cur);
-      cur.clear();
-      if (*p == '\0') break;
-    } else {
-      cur += *p;
-    }
-  }
-  return out;
-}
-
 std::string JoinedRegisteredNames() {
   std::string joined;
   for (const std::string& name : overlay::RegisteredNames()) {
@@ -147,74 +132,52 @@ std::string JoinedRegisteredNames() {
   return joined;
 }
 
-void PrintUsage(std::FILE* out, const char* argv0) {
-  std::fprintf(
-      out,
-      "usage: %s [flags]\n"
-      "  --paper_scale         paper setup: N=1000..10000, 1000 keys/node, "
-      "10 seeds\n"
-      "  --csv                 machine-readable CSV tables\n"
-      "  --sizes=a,b,c         network sizes to sweep\n"
-      "  --seeds=N             seeds (independent runs) per point\n"
-      "  --keys=N              keys per node\n"
-      "  --queries=N           queries/operations per point\n"
-      "  --seed=S              base RNG seed\n"
-      "  --overlay=name[,...]  backends to run (registered: %s)\n"
-      "  --threads=N           worker threads for per-(backend,N,seed) "
-      "tasks\n"
-      "                        (default 1; 0 = hardware concurrency)\n"
-      "  --list-overlays       print the registered backend names and exit\n"
-      "  --latency=MODEL       link latency: const:N or uniform:LO,HI "
-      "(ticks);\n"
-      "                        enables simulated per-op latency reporting\n"
-      "  --key-dist=D[,...]    request-key distribution(s): uniform or\n"
-      "                        zipf:THETA (THETA > 0, e.g. zipf:0.9); "
-      "benches\n"
-      "                        that honour it run one series per entry\n"
-      "  --load=f1,f2,...      offered-load sweep for bench_throughput, as\n"
-      "                        fractions of calibrated capacity (default\n"
-      "                        0.5,0.8,0.95,1.1,1.3)\n"
-      "  --arrivals=KIND       open-loop arrival process: poisson (default)\n"
-      "                        or fixed\n"
-      "  --service-ticks=N     per-message node service time in ticks "
-      "(>= 1;\n"
-      "                        default 1; serving-engine benches)\n"
-      "  --max-queue=N         per-node queue bound, arrivals past it drop\n"
-      "                        the op (default 0 = unbounded)\n"
-      "  --timeout-ticks=N     sojourns past N ticks count as timed out\n"
-      "                        (default 0 = no deadline)\n"
-      "  --stragglers=K:F      mark K nodes as stragglers with F x the\n"
-      "                        global service time (serving-engine benches;\n"
-      "                        default 0 = homogeneous fleet)\n"
-      "  --drop=p1,p2,...      per-message drop probabilities to sweep\n"
-      "                        (bench_faults; default 0.01,0.05,0.10)\n"
-      "  --dup=P               per-message duplicate-delivery probability\n"
-      "                        (bench_faults; default 0)\n"
-      "  --retries=r1,r2,...   retry budgets to sweep (bench_faults;\n"
-      "                        default 0,1,3)\n"
-      "  --cache=SIZE[,k]      attach a hot-path cache: per-node route cache\n"
-      "                        of SIZE entries plus a replicated fast-table\n"
-      "                        of the top k tree levels (default k=2; SIZE 0\n"
-      "                        leaves the cache detached; cache-aware "
-      "benches)\n"
-      "  --json=PATH           mirror every table into PATH as JSON rows\n"
-      "  --trace=PATH          write a Chrome trace-event JSON (open in\n"
-      "                        Perfetto) of every replayed op + message\n"
-      "                        (observability-aware benches only)\n"
-      "  --metrics=PATH        write per-task obs metrics snapshots as "
-      "JSON\n"
-      "                        (observability-aware benches only)\n"
-      "  --help                print this message and exit\n",
-      argv0, JoinedRegisteredNames().c_str());
+// ---- Flag parsing ----------------------------------------------------------
+// ParseOptions records the program name and every accepted flag here, so
+// FlagError can print the usage of exactly this bench.
+struct Usage {
+  const char* argv0 = "bench";
+  std::vector<Flag> flags;
+};
+Usage g_usage;
+
+/// One --help entry: "--name=ARG" padded to a help column, with every
+/// further help line indented to that column.
+void PrintFlagHelp(std::FILE* out, const std::string& lhs,
+                   const std::string& help) {
+  constexpr size_t kHelpColumn = 24;
+  std::string line = "  " + lhs;
+  line.resize(std::max(line.size() + 1, kHelpColumn), ' ');
+  size_t start = 0;
+  for (;;) {
+    size_t nl = help.find('\n', start);
+    std::fprintf(out, "%s%s\n", line.c_str(),
+                 help.substr(start, nl - start).c_str());
+    if (nl == std::string::npos) break;
+    start = nl + 1;
+    line.assign(kHelpColumn, ' ');
+  }
+}
+
+void PrintUsage(std::FILE* out) {
+  std::fprintf(out, "usage: %s [flags]\n", g_usage.argv0);
+  PrintFlagHelp(out, "--paper_scale",
+                "paper setup: N=1000..10000, 1000 keys/node, 10 seeds");
+  PrintFlagHelp(out, "--csv", "machine-readable CSV tables");
+  for (const Flag& f : g_usage.flags) {
+    PrintFlagHelp(out, "--" + f.name + "=" + f.arg, f.help);
+  }
+  PrintFlagHelp(out, "--list-overlays",
+                "print the registered backend names and exit");
+  PrintFlagHelp(out, "--help", "print this message and exit");
 }
 
 /// Strict base-10 parse for numeric flags: the whole value must be digits
 /// (no sign, no trailing junk), must not overflow uint64, and must land in
-/// [min_value, max_value]. Anything else prints a diagnostic plus the usage
-/// and exits 2 -- atoi-style parsing silently turned "--threads=-2" into a
-/// negative and "--seeds=2x" into 2.
-uint64_t ParseFlagUint(const char* argv0, const char* flag, const char* val,
-                       uint64_t min_value, uint64_t max_value = UINT64_MAX) {
+/// [min_value, max_value]. atoi-style parsing silently turned
+/// "--threads=-2" into a negative and "--seeds=2x" into 2.
+uint64_t ParseFlagUint(const char* flag, const char* val, uint64_t min_value,
+                       uint64_t max_value = UINT64_MAX) {
   uint64_t v = 0;
   bool ok = *val != '\0';
   for (const char* p = val; ok && *p != '\0'; ++p) {
@@ -230,177 +193,69 @@ uint64_t ParseFlagUint(const char* argv0, const char* flag, const char* val,
     v = v * 10 + d;
   }
   if (!ok || v < min_value || v > max_value) {
-    std::fprintf(stderr,
-                 "bad %s value '%s' (need an integer in [%llu, %llu])\n",
-                 flag, val, static_cast<unsigned long long>(min_value),
-                 static_cast<unsigned long long>(max_value));
-    PrintUsage(stderr, argv0);
-    std::exit(2);
+    FlagError("bad " + std::string(flag) + " value '" + val +
+              "' (need an integer in [" + std::to_string(min_value) + ", " +
+              std::to_string(max_value) + "])");
   }
   return v;
 }
 
 /// Strict double parse: the whole value must be a finite number > 0.
-double ParseFlagPositiveDouble(const char* argv0, const char* flag,
-                               const char* val) {
+double ParseFlagPositiveDouble(const char* flag, const char* val) {
   char* end = nullptr;
   double v = std::strtod(val, &end);
   if (end == val || *end != '\0' || !std::isfinite(v) || v <= 0.0) {
-    std::fprintf(stderr, "bad %s value '%s' (need a finite number > 0)\n",
-                 flag, val);
-    PrintUsage(stderr, argv0);
-    std::exit(2);
+    FlagError("bad " + std::string(flag) + " value '" + val +
+              "' (need a finite number > 0)");
   }
   return v;
-}
-
-std::vector<size_t> ParseSizes(const char* argv0, const char* arg) {
-  std::vector<size_t> out;
-  for (const std::string& piece : SplitNames(arg)) {
-    out.push_back(static_cast<size_t>(
-        ParseFlagUint(argv0, "--sizes", piece.c_str(), 1)));
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "--sizes needs at least one network size\n");
-    PrintUsage(stderr, argv0);
-    std::exit(2);
-  }
-  return out;
-}
-
-std::vector<double> ParseLoads(const char* argv0, const char* arg) {
-  std::vector<double> out;
-  for (const std::string& piece : SplitNames(arg)) {
-    out.push_back(ParseFlagPositiveDouble(argv0, "--load", piece.c_str()));
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "--load needs at least one load fraction\n");
-    PrintUsage(stderr, argv0);
-    std::exit(2);
-  }
-  return out;
 }
 
 /// Strict probability parse: a finite number in (0, 1].
-double ParseFlagProb(const char* argv0, const char* flag, const char* val) {
-  double v = ParseFlagPositiveDouble(argv0, flag, val);
+double ParseFlagProb(const char* flag, const char* val) {
+  double v = ParseFlagPositiveDouble(flag, val);
   if (v > 1.0) {
-    std::fprintf(stderr, "bad %s value '%s' (need a probability in (0, 1])\n",
-                 flag, val);
-    PrintUsage(stderr, argv0);
-    std::exit(2);
+    FlagError("bad " + std::string(flag) + " value '" + val +
+              "' (need a probability in (0, 1])");
   }
   return v;
 }
 
-std::vector<double> ParseDropRates(const char* argv0, const char* arg) {
-  std::vector<double> out;
-  for (const std::string& piece : SplitNames(arg)) {
-    out.push_back(ParseFlagProb(argv0, "--drop", piece.c_str()));
+/// A comma list of at least one `what`, each parsed by `one`.
+template <typename T, typename ParseOne>
+std::vector<T> ParseFlagList(const char* flag, const char* arg,
+                             const char* what, ParseOne&& one) {
+  std::vector<T> out;
+  for (const std::string& piece : SplitList(arg)) {
+    out.push_back(static_cast<T>(one(piece.c_str())));
   }
   if (out.empty()) {
-    std::fprintf(stderr, "--drop needs at least one drop probability\n");
-    PrintUsage(stderr, argv0);
-    std::exit(2);
+    FlagError(std::string(flag) + " needs at least one " + what);
   }
   return out;
 }
 
-std::vector<int> ParseRetryBudgets(const char* argv0, const char* arg) {
-  std::vector<int> out;
-  for (const std::string& piece : SplitNames(arg)) {
-    out.push_back(static_cast<int>(
-        ParseFlagUint(argv0, "--retries", piece.c_str(), 0, 64)));
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "--retries needs at least one retry budget\n");
-    PrintUsage(stderr, argv0);
-    std::exit(2);
-  }
-  return out;
-}
-
-/// Parses --cache=SIZE[,k] (route-cache capacity, optional fast-table
-/// levels) into opt.cache_capacity / opt.cache_levels.
-void ParseCacheSpec(const char* argv0, const char* arg, Options* opt) {
-  const char* comma = std::strchr(arg, ',');
-  if (comma == nullptr) {
-    opt->cache_capacity =
-        static_cast<size_t>(ParseFlagUint(argv0, "--cache", arg, 0));
-    return;
-  }
-  std::string size(arg, static_cast<size_t>(comma - arg));
-  opt->cache_capacity = static_cast<size_t>(
-      ParseFlagUint(argv0, "--cache", size.c_str(), 0));
-  opt->cache_levels = static_cast<int>(
-      ParseFlagUint(argv0, "--cache", comma + 1, 0, 16));
-}
-
-/// Parses --stragglers=K:FACTOR (K >= 0 straggler nodes, FACTOR > 1
-/// service-time multiplier) into opt.stragglers / opt.straggler_factor.
-void ParseStragglers(const char* argv0, const char* arg, Options* opt) {
-  const char* colon = std::strchr(arg, ':');
-  if (colon == nullptr) {
-    std::fprintf(stderr,
-                 "bad --stragglers value '%s' (want K:FACTOR, e.g. 4:8)\n",
-                 arg);
-    PrintUsage(stderr, argv0);
-    std::exit(2);
-  }
-  std::string k(arg, static_cast<size_t>(colon - arg));
-  opt->stragglers = static_cast<size_t>(
-      ParseFlagUint(argv0, "--stragglers", k.c_str(), 0));
-  opt->straggler_factor =
-      ParseFlagPositiveDouble(argv0, "--stragglers", colon + 1);
-  if (opt->straggler_factor <= 1.0) {
-    std::fprintf(stderr,
-                 "bad --stragglers factor '%s' (need a multiplier > 1)\n",
-                 colon + 1);
-    PrintUsage(stderr, argv0);
-    std::exit(2);
-  }
-}
-
-}  // namespace
-
+/// Parses "const:N" or "uniform:LO,HI" (HI >= LO).
 LatencySpec ParseLatencySpec(const char* arg) {
   LatencySpec spec;
-  auto bad = [&]() {
-    std::fprintf(stderr,
-                 "bad --latency value '%s' (want const:N or uniform:LO,HI "
-                 "with LO <= HI)\n",
-                 arg);
-    std::exit(2);
-  };
-  auto parse_ticks = [&](const char** p) {
-    if (**p < '0' || **p > '9') bad();
-    sim::Time v = 0;
-    while (**p >= '0' && **p <= '9') {
-      v = v * 10 + static_cast<sim::Time>(**p - '0');
-      ++*p;
-    }
-    return v;
-  };
-  const char* p = arg;
-  if (std::strncmp(p, "const:", 6) == 0) {
-    p += 6;
+  const std::string a = arg;
+  if (a.rfind("const:", 0) == 0) {
     spec.kind = LatencySpec::Kind::kConst;
-    spec.lo = spec.hi = parse_ticks(&p);
-  } else if (std::strncmp(p, "uniform:", 8) == 0) {
-    p += 8;
-    spec.kind = LatencySpec::Kind::kUniform;
-    spec.lo = parse_ticks(&p);
-    if (*p != ',') bad();
-    ++p;
-    spec.hi = parse_ticks(&p);
-    if (spec.hi < spec.lo) bad();
-  } else {
-    bad();
+    spec.lo = spec.hi = ParseFlagUint("--latency", arg + 6, 0);
+    return spec;
   }
-  if (*p != '\0') bad();
+  const size_t comma = a.find(',');
+  if (a.rfind("uniform:", 0) != 0 || comma == std::string::npos) {
+    FlagError("bad --latency value '" + a +
+              "' (want const:N or uniform:LO,HI with LO <= HI)");
+  }
+  spec.kind = LatencySpec::Kind::kUniform;
+  spec.lo = ParseFlagUint("--latency", a.substr(8, comma - 8).c_str(), 0);
+  spec.hi = ParseFlagUint("--latency", arg + comma + 1, spec.lo);
   return spec;
 }
 
+/// Builds the latency model `spec` describes, or nullptr for Kind::kNone.
 std::unique_ptr<sim::LatencyModel> MakeLatencyModel(const LatencySpec& spec) {
   switch (spec.kind) {
     case LatencySpec::Kind::kNone:
@@ -413,42 +268,78 @@ std::unique_ptr<sim::LatencyModel> MakeLatencyModel(const LatencySpec& spec) {
   return nullptr;
 }
 
+/// Parses a comma list of "uniform" / "zipf:THETA" (THETA > 0) entries.
+std::vector<KeyDistSpec> ParseKeyDists(const char* arg) {
+  return ParseFlagList<KeyDistSpec>(
+      "--key-dist", arg, "distribution", [](const char* name) {
+        KeyDistSpec spec;
+        if (std::strncmp(name, "zipf:", 5) == 0) {
+          spec.kind = KeyDistSpec::Kind::kZipf;
+          spec.theta = ParseFlagPositiveDouble("--key-dist", name + 5);
+        } else if (std::strcmp(name, "uniform") != 0) {
+          FlagError(std::string("bad --key-dist value '") + name +
+                    "' (want uniform or zipf:THETA)");
+        }
+        return spec;
+      });
+}
+
+/// A non-empty file path for --trace/--metrics/--json.
+std::string ParsePath(const char* flag, const char* val) {
+  if (*val == '\0') FlagError(std::string(flag) + " needs a file path");
+  return val;
+}
+
+/// The flags every bench accepts.
+FlagGroup CoreFlags() {
+  return {
+      {"sizes", "a,b,c", "network sizes to sweep",
+       [](const char* v, Options* opt) {
+         opt->sizes = ParseFlagList<size_t>(
+             "--sizes", v, "network size",
+             [](const char* p) { return ParseFlagUint("--sizes", p, 1); });
+       }},
+      {"seeds", "N", "seeds (independent runs) per point",
+       [](const char* v, Options* opt) {
+         opt->seeds = static_cast<int>(ParseFlagUint("--seeds", v, 1, INT_MAX));
+       }},
+      {"keys", "N", "keys per node",
+       [](const char* v, Options* opt) {
+         opt->keys_per_node =
+             static_cast<size_t>(ParseFlagUint("--keys", v, 0));
+       }},
+      {"queries", "N", "queries/operations per point",
+       [](const char* v, Options* opt) {
+         opt->queries =
+             static_cast<int>(ParseFlagUint("--queries", v, 0, INT_MAX));
+       }},
+      {"seed", "S", "base RNG seed",
+       [](const char* v, Options* opt) {
+         opt->base_seed = ParseFlagUint("--seed", v, 0);
+       }},
+      // Last occurrence wins, like every other repeatable flag; the mirror
+      // is opened once, after parsing.
+      {"json", "PATH", "mirror every table into PATH as JSON rows",
+       [](const char* v, Options* opt) {
+         opt->json_path = ParsePath("--json", v);
+       }},
+  };
+}
+
+/// --timeout-ticks=N into `dst`, with the owning group's `help`.
+Flag TimeoutFlag(uint64_t* dst, const char* help) {
+  return {"timeout-ticks", "N", help, [dst](const char* v, Options*) {
+            *dst = ParseFlagUint("--timeout-ticks", v, 0);
+          }};
+}
+
+}  // namespace
+
 std::string KeyDistSpec::Label() const {
   if (kind == Kind::kUniform) return "uniform";
   char buf[32];
   std::snprintf(buf, sizeof buf, "zipf:%.2g", theta);
   return buf;
-}
-
-std::vector<KeyDistSpec> ParseKeyDists(const char* arg) {
-  auto bad = [&]() {
-    std::fprintf(stderr,
-                 "bad --key-dist value '%s' (want a comma list of uniform "
-                 "or zipf:THETA with THETA > 0)\n",
-                 arg);
-    std::exit(2);
-  };
-  std::vector<KeyDistSpec> out;
-  for (const std::string& name : SplitNames(arg)) {
-    KeyDistSpec spec;
-    if (name == "uniform") {
-      // defaults
-    } else if (name.rfind("zipf:", 0) == 0) {
-      spec.kind = KeyDistSpec::Kind::kZipf;
-      const char* t = name.c_str() + 5;
-      char* end = nullptr;
-      spec.theta = std::strtod(t, &end);
-      if (end == t || *end != '\0' || !std::isfinite(spec.theta) ||
-          spec.theta <= 0.0) {
-        bad();
-      }
-    } else {
-      bad();
-    }
-    out.push_back(spec);
-  }
-  if (out.empty()) bad();
-  return out;
 }
 
 std::unique_ptr<workload::KeyGenerator> MakeKeyGenerator(
@@ -462,23 +353,199 @@ std::unique_ptr<workload::KeyGenerator> MakeKeyGenerator(
   return nullptr;
 }
 
-void AttachLatency(Instance* inst, const LatencySpec& spec, uint64_t seed) {
-  if (!spec.enabled()) return;
-  inst->queue = std::make_unique<sim::EventQueue>();
-  inst->latency = MakeLatencyModel(spec);
-  inst->overlay->AttachLatency(inst->queue.get(), inst->latency.get(),
-                               Mix64(seed ^ 0x11c0));
+std::vector<std::string> SplitList(const char* arg) {
+  std::vector<std::string> out;
+  std::string cur;
+  for (const char* p = arg;; ++p) {
+    if (*p == ',' || *p == '\0') {
+      if (!cur.empty()) out.push_back(cur);
+      cur.clear();
+      if (*p == '\0') break;
+    } else {
+      cur += *p;
+    }
+  }
+  return out;
 }
 
-void AttachObserver(Instance* inst, bool tracing) {
-  inst->observer = std::make_unique<obs::Observer>(tracing);
-  inst->overlay->AttachObserver(inst->observer.get());
+void FlagError(const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
+  PrintUsage(stderr);
+  std::exit(2);
 }
 
-void AttachCache(Instance* inst, const cache::Config& cfg) {
-  if (cfg.capacity == 0) return;
-  inst->cache = std::make_unique<cache::Manager>(cfg);
-  inst->overlay->AttachCache(inst->cache.get());
+FlagGroup BackendFlags() {
+  return {
+      {"overlay", "name[,...]",
+       "backends to run (registered: " + JoinedRegisteredNames() + ")",
+       [](const char* v, Options* opt) {
+         opt->overlays = SplitList(v);
+         if (opt->overlays.empty()) {
+           FlagError("--overlay needs at least one backend name");
+         }
+         for (const std::string& name : opt->overlays) {
+           if (!overlay::IsRegistered(name)) {
+             FlagError("unknown overlay backend '" + name +
+                       "' (registered: " + JoinedRegisteredNames() + ")");
+           }
+         }
+       }},
+      {"threads", "N",
+       "worker threads for per-(backend,N,seed) tasks\n"
+       "(default 1; 0 = hardware concurrency)",
+       [](const char* v, Options* opt) {
+         opt->threads =
+             static_cast<int>(ParseFlagUint("--threads", v, 0, INT_MAX));
+       }},
+  };
+}
+
+FlagGroup LatencyFlags() {
+  return {
+      {"latency", "MODEL",
+       "link latency: const:N or uniform:LO,HI (ticks);\n"
+       "enables simulated per-op latency reporting",
+       [](const char* v, Options* opt) { opt->latency = ParseLatencySpec(v); }},
+  };
+}
+
+FlagGroup ObsFlags() {
+  return {
+      {"trace", "PATH",
+       "write a Chrome trace-event JSON (open in\n"
+       "Perfetto) of every measured op + message",
+       [](const char* v, Options* opt) {
+         opt->trace_path = ParsePath("--trace", v);
+       }},
+      {"metrics", "PATH", "write per-task obs metrics snapshots as JSON",
+       [](const char* v, Options* opt) {
+         opt->metrics_path = ParsePath("--metrics", v);
+       }},
+  };
+}
+
+FlagGroup KeyDistFlags() {
+  return {
+      {"key-dist", "D[,...]",
+       "request-key distribution(s): uniform or\n"
+       "zipf:THETA (THETA > 0, e.g. zipf:0.9)",
+       [](const char* v, Options* opt) { opt->key_dists = ParseKeyDists(v); }},
+  };
+}
+
+FlagGroup ServeFlags::Flags() {
+  return {
+      {"load", "f1,f2,...",
+       "offered-load sweep, as fractions of calibrated\n"
+       "capacity (default 0.5,0.8,0.95,1.1,1.3)",
+       [this](const char* v, Options*) {
+         loads = ParseFlagList<double>("--load", v, "load fraction",
+                                       [](const char* p) {
+                                         return ParseFlagPositiveDouble(
+                                             "--load", p);
+                                       });
+       }},
+      {"arrivals", "KIND",
+       "open-loop arrival process: poisson (default)\nor fixed",
+       [this](const char* v, Options*) {
+         arrivals = v;
+         if (arrivals != "poisson" && arrivals != "fixed") {
+           FlagError("bad --arrivals value '" + arrivals +
+                     "' (want poisson or fixed)");
+         }
+       }},
+      {"service-ticks", "N",
+       "per-message node service time in ticks (>= 1;\ndefault 1)",
+       [this](const char* v, Options*) {
+         service_ticks = ParseFlagUint("--service-ticks", v, 1);
+       }},
+      {"max-queue", "N",
+       "per-node queue bound, arrivals past it drop\n"
+       "the op (default 0 = unbounded)",
+       [this](const char* v, Options*) {
+         max_queue = ParseFlagUint("--max-queue", v, 0);
+       }},
+      TimeoutFlag(&timeout_ticks,
+                  "sojourns past N ticks count as timed out\n"
+                  "(default 0 = no deadline)"),
+      {"stragglers", "K:F",
+       "mark K nodes as stragglers with F x the\n"
+       "global service time (F > 1; default 0 =\nhomogeneous fleet)",
+       [this](const char* v, Options*) {
+         const char* colon = std::strchr(v, ':');
+         if (colon == nullptr) {
+           FlagError(std::string("bad --stragglers value '") + v +
+                     "' (want K:FACTOR, e.g. 4:8)");
+         }
+         std::string k(v, static_cast<size_t>(colon - v));
+         stragglers = static_cast<size_t>(
+             ParseFlagUint("--stragglers", k.c_str(), 0));
+         straggler_factor = ParseFlagPositiveDouble("--stragglers", colon + 1);
+         if (straggler_factor <= 1.0) {
+           FlagError(std::string("bad --stragglers factor '") + (colon + 1) +
+                     "' (need a multiplier > 1)");
+         }
+       }},
+  };
+}
+
+FlagGroup FaultFlags::Flags() {
+  return {
+      {"drop", "p1,p2,...",
+       "per-message drop probabilities to sweep\n(default 0.01,0.05,0.10)",
+       [this](const char* v, Options*) {
+         drop_rates = ParseFlagList<double>(
+             "--drop", v, "drop probability",
+             [](const char* p) { return ParseFlagProb("--drop", p); });
+       }},
+      {"dup", "P",
+       "per-message duplicate-delivery probability\n(default 0)",
+       [this](const char* v, Options*) { dup_rate = ParseFlagProb("--dup", v); }},
+      {"retries", "r1,r2,...", "retry budgets to sweep (default 0,1,3)",
+       [this](const char* v, Options*) {
+         retry_budgets = ParseFlagList<int>(
+             "--retries", v, "retry budget",
+             [](const char* p) { return ParseFlagUint("--retries", p, 0, 64); });
+       }},
+      TimeoutFlag(&timeout_ticks,
+                  "per-attempt critical-path budget of the retry\n"
+                  "policy (default 0 = none)"),
+  };
+}
+
+FlagGroup CacheFlags::Flags() {
+  return {
+      {"cache", "SIZE[,k]",
+       "per-node route cache of SIZE >= 1 entries plus\n"
+       "a replicated fast-table of the top k tree\n"
+       "levels (default 256,2; k=0 disables the\nfast-table)",
+       [this](const char* v, Options*) {
+         const char* comma = std::strchr(v, ',');
+         std::string size =
+             comma == nullptr ? v : std::string(v, static_cast<size_t>(comma - v));
+         capacity = static_cast<size_t>(
+             ParseFlagUint("--cache", size.c_str(), 1));
+         if (comma != nullptr) {
+           levels = static_cast<int>(ParseFlagUint("--cache", comma + 1, 0, 16));
+         }
+       }},
+      TimeoutFlag(&timeout_ticks,
+                  "per-attempt critical-path budget of the lossy\n"
+                  "cell's retry policy (default 0 = none)"),
+  };
+}
+
+void Attach(Instance* inst, const Options& opt, uint64_t seed) {
+  if (opt.latency.enabled()) {
+    inst->queue = std::make_unique<sim::EventQueue>();
+    inst->latency = MakeLatencyModel(opt.latency);
+    inst->overlay->AttachLatency(inst->queue.get(), inst->latency.get(),
+                                 Mix64(seed ^ 0x11c0));
+  }
+  if (!opt.trace_path.empty() || !opt.metrics_path.empty()) {
+    inst->observer = std::make_unique<obs::Observer>(!opt.trace_path.empty());
+    inst->overlay->AttachObserver(inst->observer.get());
+  }
 }
 
 void WriteObsArtifacts(const Options& opt, const std::vector<SeedTask>& tasks,
@@ -531,111 +598,45 @@ void WriteObsArtifacts(const Options& opt, const std::vector<SeedTask>& tasks,
   }
 }
 
-Options ParseOptions(int argc, char** argv) {
+Options ParseOptions(int argc, char** argv,
+                     std::initializer_list<FlagGroup> groups) {
   Options opt;
+  g_usage.argv0 = argv[0];
+  g_usage.flags = CoreFlags();
+  for (const FlagGroup& g : groups) {
+    g_usage.flags.insert(g_usage.flags.end(), g.begin(), g.end());
+  }
   for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--paper_scale") == 0) {
+    const std::string a = argv[i];
+    if (a == "--paper_scale") {
       opt.keys_per_node = 1000;
       opt.seeds = 10;
       opt.sizes = {1000, 2000, 4000, 6000, 8000, 10000};
-    } else if (std::strcmp(a, "--csv") == 0) {
+      continue;
+    }
+    if (a == "--csv") {
       opt.csv = true;
-    } else if (std::strcmp(a, "--help") == 0) {
-      PrintUsage(stdout, argv[0]);
+      continue;
+    }
+    if (a == "--help") {
+      PrintUsage(stdout);
       std::exit(0);
-    } else if (std::strcmp(a, "--list-overlays") == 0) {
+    }
+    if (a == "--list-overlays") {
       for (const std::string& name : overlay::RegisteredNames()) {
         std::printf("%s\n", name.c_str());
       }
       std::exit(0);
-    } else if (std::strncmp(a, "--threads=", 10) == 0) {
-      opt.threads = static_cast<int>(
-          ParseFlagUint(argv[0], "--threads", a + 10, 0, INT_MAX));
-    } else if (std::strncmp(a, "--seeds=", 8) == 0) {
-      opt.seeds = static_cast<int>(
-          ParseFlagUint(argv[0], "--seeds", a + 8, 1, INT_MAX));
-    } else if (std::strncmp(a, "--keys=", 7) == 0) {
-      opt.keys_per_node =
-          static_cast<size_t>(ParseFlagUint(argv[0], "--keys", a + 7, 0));
-    } else if (std::strncmp(a, "--queries=", 10) == 0) {
-      opt.queries = static_cast<int>(
-          ParseFlagUint(argv[0], "--queries", a + 10, 0, INT_MAX));
-    } else if (std::strncmp(a, "--sizes=", 8) == 0) {
-      opt.sizes = ParseSizes(argv[0], a + 8);
-    } else if (std::strncmp(a, "--seed=", 7) == 0) {
-      opt.base_seed = ParseFlagUint(argv[0], "--seed", a + 7, 0);
-    } else if (std::strncmp(a, "--latency=", 10) == 0) {
-      opt.latency = ParseLatencySpec(a + 10);
-    } else if (std::strncmp(a, "--key-dist=", 11) == 0) {
-      opt.key_dists = ParseKeyDists(a + 11);
-    } else if (std::strncmp(a, "--load=", 7) == 0) {
-      opt.loads = ParseLoads(argv[0], a + 7);
-    } else if (std::strncmp(a, "--arrivals=", 11) == 0) {
-      opt.arrivals = a + 11;
-      if (opt.arrivals != "poisson" && opt.arrivals != "fixed") {
-        std::fprintf(stderr,
-                     "bad --arrivals value '%s' (want poisson or fixed)\n",
-                     opt.arrivals.c_str());
-        std::exit(2);
-      }
-    } else if (std::strncmp(a, "--service-ticks=", 16) == 0) {
-      opt.service_ticks =
-          ParseFlagUint(argv[0], "--service-ticks", a + 16, 1);
-    } else if (std::strncmp(a, "--max-queue=", 12) == 0) {
-      opt.max_queue = ParseFlagUint(argv[0], "--max-queue", a + 12, 0);
-    } else if (std::strncmp(a, "--timeout-ticks=", 16) == 0) {
-      opt.timeout_ticks =
-          ParseFlagUint(argv[0], "--timeout-ticks", a + 16, 0);
-    } else if (std::strncmp(a, "--stragglers=", 13) == 0) {
-      ParseStragglers(argv[0], a + 13, &opt);
-    } else if (std::strncmp(a, "--drop=", 7) == 0) {
-      opt.drop_rates = ParseDropRates(argv[0], a + 7);
-    } else if (std::strncmp(a, "--dup=", 6) == 0) {
-      opt.dup_rate = ParseFlagProb(argv[0], "--dup", a + 6);
-    } else if (std::strncmp(a, "--retries=", 10) == 0) {
-      opt.retry_budgets = ParseRetryBudgets(argv[0], a + 10);
-    } else if (std::strncmp(a, "--cache=", 8) == 0) {
-      ParseCacheSpec(argv[0], a + 8, &opt);
-    } else if (std::strncmp(a, "--trace=", 8) == 0) {
-      opt.trace_path = a + 8;
-      if (opt.trace_path.empty()) {
-        std::fprintf(stderr, "--trace needs a file path\n");
-        std::exit(2);
-      }
-    } else if (std::strncmp(a, "--metrics=", 10) == 0) {
-      opt.metrics_path = a + 10;
-      if (opt.metrics_path.empty()) {
-        std::fprintf(stderr, "--metrics needs a file path\n");
-        std::exit(2);
-      }
-    } else if (std::strncmp(a, "--json=", 7) == 0) {
-      // Last occurrence wins, like every other repeatable flag; the mirror
-      // is opened once, after the loop.
-      opt.json_path = a + 7;
-      if (opt.json_path.empty()) {
-        std::fprintf(stderr, "--json needs a file path\n");
-        std::exit(2);
-      }
-    } else if (std::strncmp(a, "--overlay=", 10) == 0) {
-      opt.overlays = SplitNames(a + 10);
-      if (opt.overlays.empty()) {
-        std::fprintf(stderr, "--overlay needs at least one backend name\n");
-        std::exit(2);
-      }
-      for (const std::string& name : opt.overlays) {
-        if (!overlay::IsRegistered(name)) {
-          std::fprintf(stderr,
-                       "unknown overlay backend '%s' (registered: %s)\n",
-                       name.c_str(), JoinedRegisteredNames().c_str());
-          std::exit(2);
-        }
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", a);
-      PrintUsage(stderr, argv[0]);
-      std::exit(2);
     }
+    const size_t eq = a.find('=');
+    const Flag* flag = nullptr;
+    if (a.rfind("--", 0) == 0 && eq != std::string::npos) {
+      for (const Flag& f : g_usage.flags) {
+        if (a.compare(2, eq - 2, f.name) == 0) flag = &f;
+      }
+    }
+    if (flag == nullptr) FlagError("unknown flag " + a);
+    flag->parse(argv[i] + eq + 1, &opt);
   }
   if (!opt.json_path.empty()) SetJsonMirror(opt.json_path);
   return opt;
@@ -748,6 +749,18 @@ Instance BuildOverlay(const std::string& name, size_t n, uint64_t seed,
   return inst;
 }
 
+Instance BuildPreloaded(const std::string& name, size_t n, uint64_t seed,
+                        size_t keys_per_node, workload::KeyGenerator* keys) {
+  overlay::Config cfg = BalancedOverlayConfig();
+  if (overlay::Make(name, cfg)->Supports(overlay::kOrderedGrowth)) {
+    return BuildOverlay(name, n, seed, cfg, keys_per_node, keys);
+  }
+  Rng load_rng(Mix64(seed ^ 0x10ad));
+  Instance inst = BuildOverlay(name, n, seed, cfg);
+  LoadOverlay(&inst, keys_per_node, keys, &load_rng);
+  return inst;
+}
+
 void LoadOverlay(Instance* inst, size_t keys_per_node,
                  workload::KeyGenerator* gen, Rng* rng) {
   size_t total = keys_per_node * inst->overlay->size();
@@ -755,6 +768,25 @@ void LoadOverlay(Instance* inst, size_t keys_per_node,
     net::PeerId from = inst->members[rng->NextBelow(inst->members.size())];
     auto st = inst->overlay->Insert(from, gen->Next(rng));
     BATON_CHECK(st.ok()) << st.status.ToString();
+  }
+}
+
+void JoinLeaveChurn(Instance* inst, Rng* rng, int ops,
+                    const ChurnCost& on_pair) {
+  net::CounterSnapshot before, mid;
+  for (int i = 0; i < ops; ++i) {
+    if (on_pair) before = inst->net()->Snapshot();
+    auto joined = inst->overlay->Join(
+        inst->members[rng->NextBelow(inst->members.size())]);
+    BATON_CHECK(joined.ok()) << joined.status.ToString();
+    inst->members.push_back(joined.peer);
+    if (on_pair) mid = inst->net()->Snapshot();
+
+    size_t idx = rng->NextBelow(inst->members.size());
+    auto left = inst->overlay->Leave(inst->members[idx]);
+    BATON_CHECK(left.ok()) << left.status.ToString();
+    inst->members.erase(inst->members.begin() + static_cast<long>(idx));
+    if (on_pair) on_pair(before, mid, inst->net()->Snapshot());
   }
 }
 
@@ -804,15 +836,12 @@ void SetJsonMirror(const std::string& path) {
   std::atexit(CloseJsonMirror);
 }
 
-void Emit(const std::string& title, const TablePrinter& table, bool csv) {
-  std::printf("== %s ==\n", title.c_str());
-  std::printf("%s\n", csv ? table.ToCsv().c_str() : table.ToText().c_str());
-  std::fflush(stdout);
-}
-
 void Emit(const std::string& title, const TablePrinter& table,
           const Options& opt) {
-  Emit(title, table, opt.csv);
+  std::printf("== %s ==\n", title.c_str());
+  std::printf("%s\n",
+              opt.csv ? table.ToCsv().c_str() : table.ToText().c_str());
+  std::fflush(stdout);
   if (!opt.json_path.empty()) MirrorTableToJson(title, table);
 }
 

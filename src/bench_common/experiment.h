@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "baton/baton.h"
-#include "cache/cache.h"
 #include "obs/observer.h"
 #include "overlay/registry.h"
 #include "sim/latency.h"
@@ -41,13 +40,6 @@ struct LatencySpec {
   bool enabled() const { return kind != Kind::kNone; }
 };
 
-/// Parses "const:N" or "uniform:LO,HI"; prints a diagnostic and exits 2 on
-/// malformed input (including uniform bounds with HI < LO).
-LatencySpec ParseLatencySpec(const char* arg);
-
-/// Builds the latency model `spec` describes, or nullptr for Kind::kNone.
-std::unique_ptr<sim::LatencyModel> MakeLatencyModel(const LatencySpec& spec);
-
 /// Request-key distribution selected with --key-dist=uniform|zipf:THETA.
 /// Uniform is the paper's setup; zipf:THETA concentrates queries on the
 /// popular low end of the key space (util::ZipfGenerator), the access skew
@@ -60,10 +52,6 @@ struct KeyDistSpec {
   /// Table/column label: "uniform" or "zipf:<theta>".
   std::string Label() const;
 };
-
-/// Parses a comma list of "uniform" / "zipf:THETA" (THETA > 0) entries;
-/// prints a diagnostic and exits 2 on malformed input.
-std::vector<KeyDistSpec> ParseKeyDists(const char* arg);
 
 /// Builds the request-key generator `spec` describes over [lo, hi).
 std::unique_ptr<workload::KeyGenerator> MakeKeyGenerator(
@@ -103,54 +91,90 @@ struct Options {
   /// Request-key distributions from --key-dist=...; empty means the bench's
   /// default (uniform). Benches that honour this run one series per entry.
   std::vector<KeyDistSpec> key_dists;
+};
 
-  // ---- Serving-engine flags (bench_throughput) ---------------------------
-  /// --load=f1,f2,...: offered-load sweep points, as fractions of each
-  /// (backend, N, seed)'s calibrated closed-loop capacity. The default
-  /// straddles the saturation knee from either side.
+/// A flag --name=ARG outside the core set. Benches that read a flag
+/// register it with ParseOptions; every other bench rejects it as unknown.
+struct Flag {
+  std::string name;  // without the leading "--"
+  std::string arg;   // placeholder shown in --help, e.g. "N" or "a,b,c"
+  std::string help;  // --help text; '\n' starts an indented continuation
+  /// Parses the value after '=' into `opt` or the group's own fields;
+  /// malformed input goes to FlagError.
+  std::function<void(const char* value, Options* opt)> parse;
+};
+using FlagGroup = std::vector<Flag>;
+
+// Groups for the Options fields only some benches read.
+/// --overlay and --threads: the multi-backend benches built on RunTasks.
+FlagGroup BackendFlags();
+/// --latency: the benches that call Attach.
+FlagGroup LatencyFlags();
+/// --trace and --metrics: the benches that call Attach and
+/// WriteObsArtifacts.
+FlagGroup ObsFlags();
+/// --key-dist.
+FlagGroup KeyDistFlags();
+
+/// Prints `message` and the usage to stderr, then exits 2. For the parse
+/// callbacks of registered flags.
+[[noreturn]] void FlagError(const std::string& message);
+
+/// Splits a comma list, dropping empty entries ("a,,b" -> {"a", "b"}).
+std::vector<std::string> SplitList(const char* arg);
+
+/// Serving-engine flags (bench_throughput).
+struct ServeFlags {
+  /// --load: offered-load sweep points, as fractions of each (backend, N,
+  /// seed)'s calibrated closed-loop capacity. The default straddles the
+  /// saturation knee from either side.
   std::vector<double> loads = {0.5, 0.8, 0.95, 1.1, 1.3};
-  /// --arrivals=poisson|fixed: the open-loop arrival process.
+  /// --arrivals: the open-loop arrival process, poisson or fixed.
   std::string arrivals = "poisson";
-  /// --service-ticks=N: per-message node service time (serve::NodeModel).
+  /// --service-ticks: per-message node service time (serve::NodeModel).
   uint64_t service_ticks = 1;
-  /// --max-queue=N: per-node queue bound; arrivals past it drop the owning
+  /// --max-queue: per-node queue bound; arrivals past it drop the owning
   /// op (0 = unbounded queues).
   uint64_t max_queue = 0;
-  /// --timeout-ticks=N: sojourns past this count as timed out (client gave
+  /// --timeout-ticks: sojourns past this count as timed out (client gave
   /// up; the op still completes and is measured). 0 = no deadline.
   uint64_t timeout_ticks = 0;
   /// --stragglers=K:FACTOR: the first K members (deterministically chosen
-  /// per seed) service messages FACTOR times slower than --service-ticks --
-  /// the heterogeneous-fleet / tail-at-scale knob of the serving benches.
+  /// per seed) service messages FACTOR times slower than --service-ticks.
   /// K = 0 (the default) keeps the fleet homogeneous.
   size_t stragglers = 0;
   double straggler_factor = 8.0;
 
-  // ---- Fault-injection flags (bench_faults) ------------------------------
-  /// --drop=p1,p2,...: per-message drop probabilities to sweep (each value
-  /// becomes one fault::Plan column group).
+  FlagGroup Flags();
+};
+
+/// Fault-injection flags (bench_faults).
+struct FaultFlags {
+  /// --drop: per-message drop probabilities to sweep (one fault::Plan
+  /// column group each).
   std::vector<double> drop_rates = {0.01, 0.05, 0.10};
-  /// --dup=p: per-message duplicate probability applied in every faulted
-  /// cell (0 disables duplication).
+  /// --dup: per-message duplicate probability in every faulted cell.
   double dup_rate = 0.0;
-  /// --retries=r1,r2,...: resilience retry budgets to sweep
-  /// (fault::Policy::max_retries per cell).
+  /// --retries: resilience retry budgets to sweep (fault::Policy::
+  /// max_retries per cell).
   std::vector<int> retry_budgets = {0, 1, 3};
+  /// --timeout-ticks: fault::Policy::timeout_ticks per attempt (0 = none).
+  uint64_t timeout_ticks = 0;
 
-  // ---- Hot-path cache flags (bench_cache) --------------------------------
+  FlagGroup Flags();
+};
+
+/// Hot-path cache flags (bench_cache).
+struct CacheFlags {
   /// --cache=SIZE[,k]: per-node route-cache capacity and replicated
-  /// fast-table levels for cache-aware benches (see src/cache/cache.h).
-  /// SIZE 0 leaves the cache detached (the byte-identical default); k
-  /// defaults to 2 and 0 disables only the fast-table.
-  size_t cache_capacity = 0;
-  int cache_levels = 2;
+  /// fast-table levels (see src/cache/cache.h); k = 0 disables only the
+  /// fast-table.
+  size_t capacity = 256;
+  int levels = 2;
+  /// --timeout-ticks: fault::Policy::timeout_ticks of the lossy cell.
+  uint64_t timeout_ticks = 0;
 
-  /// Observability is wanted when either artifact path is set.
-  bool obs_enabled() const {
-    return !trace_path.empty() || !metrics_path.empty();
-  }
-
-  bool cache_enabled() const { return cache_capacity > 0; }
+  FlagGroup Flags();
 };
 
 /// Schema version stamped into every JSON row/snapshot the bench harness
@@ -160,21 +184,19 @@ struct Options {
 ///   2  adds the schema field itself, obs artifacts, percentile columns
 inline constexpr int kBenchJsonSchema = 2;
 
-/// Recognised flags: --paper_scale, --csv, --seeds=N, --keys=N, --queries=N,
-/// --sizes=a,b,c, --seed=S, --overlay=name[,name...], --threads=N,
-/// --latency=const:N|uniform:LO,HI, --key-dist=uniform|zipf:THETA[,...],
-/// --load=f1,f2,..., --arrivals=poisson|fixed, --service-ticks=N,
-/// --max-queue=N, --stragglers=K:FACTOR, --drop=p1,p2,..., --dup=P,
-/// --retries=r1,r2,..., --json=PATH, --trace=PATH, --metrics=PATH,
+/// Parses the core flags every bench accepts -- --paper_scale, --csv,
+/// --seeds=N, --keys=N, --queries=N, --sizes=a,b,c, --seed=S, --json=PATH,
 /// --list-overlays (prints overlay::RegisteredNames() one per line, exits
-/// 0), --help (prints usage, exits 0). Unknown flags print the usage and
-/// exit 2; usage and the --overlay rejection message both list the
-/// registered backends from the registry, so new backends appear without
-/// touching this file. Numeric flags are parsed strictly: a value that is
+/// 0), --help (prints usage, exits 0) -- plus the flags of `groups`, which
+/// --help lists after them. Unknown flags print the usage and exit 2;
+/// usage and the --overlay rejection message both list the registered
+/// backends from the registry, so new backends appear without touching
+/// this file. Numeric flags are parsed strictly: a value that is
 /// not entirely a base-10 number in the flag's valid range (e.g.
 /// --threads=-2, --seeds=2x) prints a diagnostic plus the usage and exits 2
 /// instead of silently truncating or wrapping.
-Options ParseOptions(int argc, char** argv);
+Options ParseOptions(int argc, char** argv,
+                     std::initializer_list<FlagGroup> groups = {});
 
 /// Runs fn(i) for every i in [0, count) on up to `threads` worker threads
 /// (1 = inline sequential execution, 0 = hardware concurrency). Tasks are
@@ -253,39 +275,26 @@ struct Instance {
   std::unique_ptr<overlay::Overlay> overlay;
   std::vector<net::PeerId> members;
 
-  /// Sim kernel driving OpStats::latency_ticks; set by AttachLatency (null
-  /// until then, and the overlay runs untimed).
+  /// Sim kernel driving OpStats::latency_ticks; set by Attach under
+  /// --latency (null otherwise, and the overlay runs untimed).
   std::unique_ptr<sim::EventQueue> queue;
   std::unique_ptr<sim::LatencyModel> latency;
 
-  /// Observability collector; set by AttachObserver (null until then, and
-  /// the overlay runs unobserved -- the zero-overhead default).
+  /// Observability collector; set by Attach under --trace/--metrics (null
+  /// otherwise, and the overlay runs unobserved -- the zero-overhead
+  /// default).
   std::unique_ptr<obs::Observer> observer;
-
-  /// Hot-path cache manager; set by AttachCache (null until then, and the
-  /// overlay routes every lookup through the full protocol walk).
-  std::unique_ptr<cache::Manager> cache;
 
   net::Network* net() { return overlay->network(); }
 };
 
-/// Attaches a sim/ event kernel built from `spec` to the instance (no-op
-/// for Kind::kNone): subsequent operations fill OpStats::latency_ticks.
-/// The sampling rng is seeded from `seed` independently of every protocol
-/// rng, so message counts and protocol decisions are unaffected.
-void AttachLatency(Instance* inst, const LatencySpec& spec, uint64_t seed);
-
-/// Attaches an obs::Observer owned by the instance (metrics always;
-/// a causal trace too when `tracing`). Subsequent operations open spans and
-/// feed the registry. The attachment mirrors AttachLatency: per instance,
-/// opt-in, and a no-op for benches that never call it.
-void AttachObserver(Instance* inst, bool tracing);
-
-/// Attaches a cache::Manager owned by the instance (capacity 0 detaches
-/// instead). Subsequent exact searches consult/learn routes and membership
-/// changes invalidate them. Same contract as the other attachments: per
-/// instance, opt-in, and a no-op for benches that never call it.
-void AttachCache(Instance* inst, const cache::Config& cfg);
+/// Attaches what `opt` asks for, owned by the instance: a sim/ event kernel
+/// under --latency (subsequent operations fill OpStats::latency_ticks; its
+/// sampling rng is seeded from `seed` independently of every protocol rng,
+/// so message counts and protocol decisions are unaffected), and an
+/// obs::Observer under --trace/--metrics (metrics always, a causal trace
+/// with --trace). Without those flags this attaches nothing.
+void Attach(Instance* inst, const Options& opt, uint64_t seed);
 
 /// Writes the observability artifacts opt.trace_path / opt.metrics_path
 /// request, from per-task observers aligned with `tasks` (null entries --
@@ -307,36 +316,27 @@ Instance BuildOverlay(const std::string& name, size_t n, uint64_t seed,
                       size_t keys_per_node = 0,
                       workload::KeyGenerator* preload = nullptr);
 
+/// A BalancedOverlayConfig overlay of n `name`-backend nodes holding
+/// keys_per_node * n keys from `keys`. Order-preserving backends load while
+/// they grow (ranges track the content median); hash-partitioned ones are
+/// insensitive to load order and bulk-load afterwards from a dedicated rng,
+/// leaving the build rng stream the same for every backend.
+Instance BuildPreloaded(const std::string& name, size_t n, uint64_t seed,
+                        size_t keys_per_node, workload::KeyGenerator* keys);
+
 /// Inserts keys_per_node * size() additional keys from random origins.
 void LoadOverlay(Instance* inst, size_t keys_per_node,
                  workload::KeyGenerator* gen, Rng* rng);
 
 /// Joins a random contact then removes a random member, `ops` times, on any
-/// backend; each phase's message cost -- `join_cost(before, after)` /
-/// `leave_cost(before, after)` over the counter snapshots bracketing it --
-/// is accumulated into the corresponding stat. The churn loop of the
-/// join/leave figure benches (Fig 8(a), 8(b)).
-template <typename JoinCost, typename LeaveCost>
-void JoinLeaveChurn(Instance* inst, Rng* rng, int ops, JoinCost&& join_cost,
-                    LeaveCost&& leave_cost, RunningStat* join_stat,
-                    RunningStat* leave_stat) {
-  for (int i = 0; i < ops; ++i) {
-    auto before = inst->net()->Snapshot();
-    auto joined = inst->overlay->Join(
-        inst->members[rng->NextBelow(inst->members.size())]);
-    BATON_CHECK(joined.ok()) << joined.status.ToString();
-    inst->members.push_back(joined.peer);
-    auto mid = inst->net()->Snapshot();
-    join_stat->Add(static_cast<double>(join_cost(before, mid)));
-
-    size_t idx = rng->NextBelow(inst->members.size());
-    auto left = inst->overlay->Leave(inst->members[idx]);
-    BATON_CHECK(left.ok()) << left.status.ToString();
-    inst->members.erase(inst->members.begin() + static_cast<long>(idx));
-    auto after = inst->net()->Snapshot();
-    leave_stat->Add(static_cast<double>(leave_cost(mid, after)));
-  }
-}
+/// backend -- the churn loop of the join/leave figure benches (Fig 8(a),
+/// 8(b)) and bench_wallclock. `on_pair`, when set, receives the counter
+/// snapshots before the join, between join and leave, and after the leave.
+using ChurnCost = std::function<void(const net::CounterSnapshot& before,
+                                     const net::CounterSnapshot& mid,
+                                     const net::CounterSnapshot& after)>;
+void JoinLeaveChurn(Instance* inst, Rng* rng, int ops,
+                    const ChurnCost& on_pair = nullptr);
 
 /// Sum of per-type deltas between two counter snapshots.
 uint64_t SumTypes(const net::CounterSnapshot& before,
@@ -353,13 +353,9 @@ uint64_t CategoryDelta(const net::CounterSnapshot& before,
                        const net::CounterSnapshot& after,
                        net::MsgCategory category);
 
-/// Prints a titled table (text or CSV per options).
-void Emit(const std::string& title, const TablePrinter& table, bool csv);
-
-/// Prints a titled table and, when opt.json_path is set (--json=PATH, or
-/// a bench default installed via SetJsonMirror), mirrors its rows into the
-/// JSON file. The bool overload never mirrors; use it for tables that must
-/// stay out of the machine-readable artifact.
+/// Prints a titled table (text, or CSV under --csv) and, when
+/// opt.json_path is set (--json=PATH, or a bench default installed via
+/// SetJsonMirror), mirrors its rows into the JSON file.
 void Emit(const std::string& title, const TablePrinter& table,
           const Options& opt);
 

@@ -74,6 +74,9 @@ void Network::CountOne(PeerId from, PeerId to, MsgType type, bool dropped,
     // single latency while sequential relays accumulate.
     sim::Time departs = FrontierAt(from);
     sim::Time arrives = departs + sim_latency_->Sample(&sim_rng_) + extra_delay;
+    // Counts issued outside any window share the clock position of the
+    // last window.
+    sim::Time base = std::max(window_start_, sim_queue_->now());
     if (!dropped) {
       // A dropped message advances nothing: the receiver never becomes
       // "available with the answer", so the loss is invisible to the
@@ -83,13 +86,9 @@ void Network::CountOne(PeerId from, PeerId to, MsgType type, bool dropped,
         f = Frontier{window_epoch_, arrives};
       }
       horizon_ = std::max(horizon_, arrives);
-    }
-    // The delivery event: running the queue (EndOpWindow) advances the
-    // virtual clock to the operation's completion time. Counts issued
-    // outside any window share the clock position of the last window.
-    sim::Time base = std::max(window_start_, sim_queue_->now());
-    if (!dropped) {
-      sim_queue_->ScheduleAt(base + arrives, [this] { ++sim_delivered_; });
+      // EndOpWindow advances the clock to the latest delivery.
+      ++sim_delivered_;
+      last_arrival_ = std::max(last_arrival_, base + arrives);
     }
     send_tick = base + departs;
     deliver_tick = base + arrives;
@@ -109,6 +108,7 @@ void Network::AttachSim(sim::EventQueue* queue, sim::LatencyModel* latency,
   window_epoch_ = 0;
   window_start_ = queue != nullptr ? queue->now() : 0;
   horizon_ = 0;
+  last_arrival_ = 0;
   sim_delivered_ = 0;
   for (Frontier& f : frontier_) f = Frontier{};
 }
@@ -126,7 +126,10 @@ void Network::BeginOpWindow() {
 
 sim::Time Network::EndOpWindow() {
   if (sim_queue_ == nullptr) return 0;
+  // Other events on the queue run in time order; the clock then lands on
+  // the operation's completion (or stays put if an event ran past it).
   sim_queue_->RunUntilIdle();
+  sim_queue_->RunUntil(last_arrival_);
   sim::Time h = horizon_;
   // Close the window: stray Counts issued before the next BeginOpWindow
   // start from a fresh frontier anchored at the advanced clock, instead of

@@ -11,13 +11,15 @@
 //  * a deferred-update facility modelling update-propagation delay for the
 //    network-dynamics experiment (Fig. 8(i)),
 //  * an optional attachment to the sim/ discrete-event kernel: with an
-//    EventQueue + LatencyModel attached, Count() also schedules the
-//    message's delivery event and maintains a per-peer "message available
-//    at" frontier, so an operation's critical-path time (sequential hops
-//    add, parallel fan-out takes the max over branches) can be read out per
-//    measurement window. Message counters are unaffected, and no protocol
-//    rng is touched: with no model attached, behaviour is bit-for-bit
-//    identical to a build without sim support.
+//    EventQueue + LatencyModel attached, Count() also samples the message's
+//    link latency and maintains a per-peer "message available at" frontier,
+//    so an operation's critical-path time (sequential hops add, parallel
+//    fan-out takes the max over branches) can be read out per measurement
+//    window, and EndOpWindow advances the queue's clock to the operation's
+//    completion. Messages schedule no events of their own. Message counters
+//    are unaffected, and no protocol rng is touched: with no model
+//    attached, behaviour is bit-for-bit identical to a build without sim
+//    support.
 #ifndef BATON_NET_NETWORK_H_
 #define BATON_NET_NETWORK_H_
 
@@ -144,31 +146,29 @@ class Network {
 
   // ---- Simulated latency (sim/ event-kernel attachment) --------------------
   /// Attaches the discrete-event kernel: every subsequent Count() samples a
-  /// link latency, schedules the message's delivery event on `queue`, and
-  /// advances the receiver's availability frontier. `queue` and `latency`
-  /// are non-owning and must outlive the attachment; pass nullptr for both
-  /// to detach. `seed` seeds the latency-sampling rng, which is independent
+  /// link latency and advances the receiver's availability frontier, and
+  /// EndOpWindow moves `queue`'s clock past the latest arrival. `queue` may
+  /// carry other events too; they run in time order at the next
+  /// EndOpWindow. `queue` and `latency` are non-owning and must outlive the
+  /// attachment; pass nullptr for both to detach. `seed` seeds the latency-sampling rng, which is independent
   /// of every protocol rng (message counts and protocol decisions are
   /// byte-identical with or without an attachment).
   void AttachSim(sim::EventQueue* queue, sim::LatencyModel* latency,
                  uint64_t seed);
   bool sim_attached() const { return sim_queue_ != nullptr; }
-  /// The attached kernel's queue (nullptr when detached). Exposed so higher
-  /// layers that run their own event loops (the serving engine) can refuse
-  /// to share a queue with the per-op critical-path machinery, whose
-  /// EndOpWindow drains the queue mid-operation.
-  sim::EventQueue* sim_queue() const { return sim_queue_; }
 
   /// Opens a measurement window: the per-peer frontier resets (every peer
   /// is immediately available) and critical-path accounting restarts. O(1).
   void BeginOpWindow();
-  /// Drains the window's delivery events (advancing the queue clock to the
-  /// operation's completion time) and returns the window's critical-path
+  /// Runs the queue's pending events, advances its clock to the latest
+  /// arrival of any message counted since the last EndOpWindow (the
+  /// operation's completion time), and returns the window's critical-path
   /// length in ticks: max over all messages of their arrival time, where a
   /// message departs when its sender last became available. Returns 0 when
   /// no kernel is attached.
   sim::Time EndOpWindow();
-  /// Delivery events processed since AttachSim (one per counted message).
+  /// Messages delivered under the kernel since AttachSim (every counted
+  /// message that was not dropped).
   uint64_t sim_delivered() const { return sim_delivered_; }
 
   // ---- Observability (obs/ attachment) -------------------------------------
@@ -281,6 +281,7 @@ class Network {
   uint64_t window_epoch_ = 0;
   sim::Time window_start_ = 0;  // queue time when the window opened
   sim::Time horizon_ = 0;       // critical path of the current window
+  sim::Time last_arrival_ = 0;  // queue time of the latest delivery so far
   uint64_t sim_delivered_ = 0;
 };
 

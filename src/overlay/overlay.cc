@@ -1,55 +1,51 @@
 #include "overlay/overlay.h"
 
+#include <utility>
+
 namespace baton {
 namespace overlay {
+namespace {
 
-/// Runs `fn(origin, &st)` with counter snapshots and a sim measurement
-/// window around it, so st.messages is the exact message cost of the
-/// operation and st.latency_ticks its simulated critical-path time (0 with
-/// no latency model attached), whatever the backend did inside. With an
-/// observer attached the whole operation is additionally bracketed as one
-/// causal span named `op`, and its outcome feeds the per-op metrics. With
-/// a fault plan attached the body runs under the resilience policy
-/// (RunResilient); detached, this is the historical single-attempt wrapper
-/// plus two null checks.
+/// The policy in force while no fault plan is attached: one attempt, no
+/// timeout.
+const fault::Policy kNoPolicy{};
+
+/// Adds `delta` to counter `name`; a zero delta leaves the registry
+/// untouched, so metrics that never fire never appear.
+void Bump(obs::Registry* reg, const char* name, uint64_t delta) {
+  if (delta > 0) reg->Counter(name) += delta;
+}
+
+}  // namespace
+
+/// Runs `fn(origin, &st)` inside a sim measurement window, so st.messages
+/// is the exact message cost of the operation and st.latency_ticks its
+/// simulated critical-path time (0 with no latency model attached),
+/// whatever the backend did inside. With an observer attached the whole
+/// operation is additionally bracketed as one causal span named `op`, and
+/// its outcome feeds the per-op metrics.
 template <typename Fn>
 OpStats Overlay::Measured(const char* op, PeerId origin, bool retryable,
                           Fn&& fn) {
   net::Network* net = network();
   OpStats st;
-  net::CounterSnapshot before = net->Snapshot();
+  const uint64_t before = net->total_messages();
   const bool cache_metrics = cache_ != nullptr && obs_ != nullptr;
   cache::Stats cache_before;
   if (cache_metrics) cache_before = cache_->stats();
   if (obs_ != nullptr) obs_->BeginOp(op, net->ObsClock());
   net->FaultOpTick();
-  if (net->faults() == nullptr) {
-    net->BeginOpWindow();
-    fn(origin, &st);
-    st.latency_ticks = net->EndOpWindow();
-  } else {
-    RunResilient(net, origin, retryable, fn, &st);
-  }
-  st.messages = net::Network::Delta(before, net->Snapshot());
+  RunAttempts(net, origin, retryable, fn, &st);
+  st.messages = net->total_messages() - before;
   if (obs_ != nullptr) {
     obs_->EndOp(op, net->ObsClock(),
                 {st.ok(), st.peer, st.hops, st.messages, st.latency_ticks});
-    if (net->faults() != nullptr) {
-      obs::Registry& reg = obs_->metrics();
-      if (st.dropped_msgs > 0) {
-        reg.Counter(fault::kMetricDrops) += st.dropped_msgs;
-      }
-      if (st.retries > 0) {
-        reg.Counter(fault::kMetricRetries) +=
-            static_cast<uint64_t>(st.retries);
-      }
-      if (st.timeouts > 0) {
-        reg.Counter(fault::kMetricTimeouts) +=
-            static_cast<uint64_t>(st.timeouts);
-      }
-      if (st.gave_up) ++reg.Counter(fault::kMetricGaveUp);
-      if (st.degraded) ++reg.Counter(fault::kMetricDegraded);
-    }
+    obs::Registry* reg = &obs_->metrics();
+    Bump(reg, fault::kMetricDrops, st.dropped_msgs);
+    Bump(reg, fault::kMetricRetries, static_cast<uint64_t>(st.retries));
+    Bump(reg, fault::kMetricTimeouts, static_cast<uint64_t>(st.timeouts));
+    Bump(reg, fault::kMetricGaveUp, st.gave_up ? 1 : 0);
+    Bump(reg, fault::kMetricDegraded, st.degraded ? 1 : 0);
     if (cache_metrics) PublishCacheMetrics(cache_before);
   }
   return st;
@@ -60,11 +56,14 @@ OpStats Overlay::Measured(const char* op, PeerId origin, bool retryable,
 /// retry budget runs out. Mutating operations (`retryable == false`) take
 /// exactly one attempt and report absorbed faults as degraded service --
 /// re-issuing a join or insert could double-apply state, and the protocols
-/// repair damage through their own recovery paths instead.
+/// repair damage through their own recovery paths instead. The policy only
+/// applies while a fault plan is attached; otherwise the default policy
+/// makes this a single attempt that nothing can reject.
 template <typename Fn>
-void Overlay::RunResilient(net::Network* net, PeerId origin, bool retryable,
-                           Fn&& fn, OpStats* st) {
-  const fault::Policy& pol = resilience_;
+void Overlay::RunAttempts(net::Network* net, PeerId origin, bool retryable,
+                          Fn&& fn, OpStats* st) {
+  const fault::Policy& pol =
+      net->faults() != nullptr ? resilience_ : kNoPolicy;
   const int attempts = 1 + (retryable ? pol.max_retries : 0);
   uint64_t total_latency = 0;
   uint64_t dup_msgs = 0;
@@ -98,7 +97,7 @@ void Overlay::RunResilient(net::Network* net, PeerId origin, bool retryable,
                 att.latency_ticks > pol.timeout_ticks;
     if (late) ++st->timeouts;
     if (!lost && !late) {
-      st->status = att.status;
+      st->status = std::move(att.status);
       st->peer = att.peer;
       st->found = att.found;
       st->matches = att.matches;
@@ -320,20 +319,18 @@ void Overlay::CacheAwareExact(PeerId from, Key key, OpStats* st) {
 
 void Overlay::PublishCacheMetrics(const cache::Stats& before) {
   const cache::Stats& now = cache_->stats();
-  obs::Registry& reg = obs_->metrics();
-  const auto bump = [&reg](const char* name, uint64_t delta) {
-    if (delta > 0) reg.Counter(name) += delta;
-  };
-  bump(cache::kMetricHits, now.hits - before.hits);
-  bump(cache::kMetricMisses, now.misses - before.misses);
-  bump(cache::kMetricStale, now.stale - before.stale);
-  bump(cache::kMetricEvictions, now.evictions - before.evictions);
-  bump(cache::kMetricInvalidations, now.invalidations - before.invalidations);
-  bump(cache::kMetricFastHits, now.fast_hits - before.fast_hits);
-  bump(cache::kMetricRefreshes, now.refreshes - before.refreshes);
+  obs::Registry* reg = &obs_->metrics();
+  Bump(reg, cache::kMetricHits, now.hits - before.hits);
+  Bump(reg, cache::kMetricMisses, now.misses - before.misses);
+  Bump(reg, cache::kMetricStale, now.stale - before.stale);
+  Bump(reg, cache::kMetricEvictions, now.evictions - before.evictions);
+  Bump(reg, cache::kMetricInvalidations,
+       now.invalidations - before.invalidations);
+  Bump(reg, cache::kMetricFastHits, now.fast_hits - before.fast_hits);
+  Bump(reg, cache::kMetricRefreshes, now.refreshes - before.refreshes);
   const uint64_t consults = now.hits + now.misses + now.stale;
   if (consults > 0) {
-    reg.Gauge(cache::kMetricHitRatePct) =
+    reg->Gauge(cache::kMetricHitRatePct) =
         static_cast<int64_t>(100 * now.hits / consults);
   }
 }

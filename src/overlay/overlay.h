@@ -266,17 +266,17 @@ class Overlay {
   void CacheInvalidateRange(uint64_t lo, uint64_t hi);
 
  private:
-  /// The measured wrapper: counter snapshots, sim window, obs span, fault
-  /// op tick, and -- with a fault plan attached -- the resilience loop.
-  /// `retryable` marks read operations (safe to re-issue); `origin` is the
-  /// peer the operation starts from (kNullPeer for membership repair ops
-  /// with no caller-chosen origin).
+  /// The measured wrapper: message count, obs span, fault op tick and the
+  /// attempt loop. `retryable` marks read operations (safe to re-issue);
+  /// `origin` is the peer the operation starts from (kNullPeer for
+  /// membership repair ops with no caller-chosen origin).
   template <typename Fn>
   OpStats Measured(const char* op, PeerId origin, bool retryable, Fn&& fn);
-  /// The fault-path body of Measured: one attempt per loop iteration.
+  /// The body of Measured: one sim window per attempt, with retries under
+  /// the resilience() policy while a fault plan is attached.
   template <typename Fn>
-  void RunResilient(net::Network* net, PeerId origin, bool retryable,
-                    Fn&& fn, OpStats* st);
+  void RunAttempts(net::Network* net, PeerId origin, bool retryable,
+                   Fn&& fn, OpStats* st);
   /// The cache-aware exact-search body: consult the origin's route cache
   /// (verified jump / stale fallback), then the fast-table (lazy refresh +
   /// cold jump), then the protocol walk; learn the completed route. With no

@@ -32,8 +32,9 @@
 // service_ticks of CPU no matter how parallel the wire is, and it is the
 // receiver occupancy that saturates first. The sim/ critical-path
 // attachment (OpStats::latency_ticks) remains the fan-out-aware wire-time
-// model; the two compose because they run on separate queues (the engine
-// refuses to share its queue with the network's AttachSim).
+// model; the two compose because they run on separate queues (each engine
+// run owns a private queue that nothing else can reach, so the network's
+// AttachSim kernel never sees, or drains, engine events).
 //
 // Closed-loop mode (RunClosedLoop) admits op i+1 only when op i has fully
 // drained -- today's one-at-a-time semantics on the serving timeline. Its

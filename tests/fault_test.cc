@@ -387,6 +387,55 @@ TEST(Resilience, TimeoutRetriesSlowAttempts) {
   b.ov->AttachFaults(nullptr);
 }
 
+TEST(Resilience, PolicyIsInertWithoutAPlan) {
+  // A policy that would retry every attempt (timeout 1 tick, 10 ticks per
+  // hop) must change nothing while no fault plan is attached: the state a
+  // bench is left in after detaching its plan but not its policy.
+  for (const std::string& name : AllBackends()) {
+    Built plain = Grow(name, 60, 83);
+    Built policed = Grow(name, 60, 83);
+    sim::EventQueue q1, q2;
+    sim::ConstantLatency lat(10);
+    plain.ov->AttachLatency(&q1, &lat, 89);
+    policed.ov->AttachLatency(&q2, &lat, 89);
+    Policy pol;
+    pol.max_retries = 3;
+    pol.timeout_ticks = 1;
+    pol.reroute = true;
+    policed.ov->SetResilience(pol);
+
+    const bool ranges = plain.ov->Supports(overlay::kRangeSearch);
+    int overran = 0;  // ops the policy would have timed out
+    Rng rng(Mix64(97));
+    for (int i = 0; i < 40; ++i) {
+      net::PeerId from = plain.members[rng.NextBelow(plain.members.size())];
+      Key k = plain.keys[rng.NextBelow(plain.keys.size())];
+      OpStats a, b;
+      if (i % 4 == 3 && ranges) {
+        a = plain.ov->RangeSearch(from, k, k + kDomainHi / 50);
+        b = policed.ov->RangeSearch(from, k, k + kDomainHi / 50);
+      } else if (i % 4 == 2) {
+        a = plain.ov->Insert(from, k + 1);
+        b = policed.ov->Insert(from, k + 1);
+      } else {
+        a = plain.ov->ExactSearch(from, k);
+        b = policed.ov->ExactSearch(from, k);
+      }
+      ASSERT_TRUE(a.ok()) << name << " op " << i;
+      EXPECT_EQ(a.status.ToString(), b.status.ToString()) << name << " " << i;
+      EXPECT_EQ(b.retries, 0) << name << " op " << i;
+      EXPECT_EQ(b.timeouts, 0) << name << " op " << i;
+      EXPECT_FALSE(b.gave_up) << name << " op " << i;
+      EXPECT_EQ(a.latency_ticks, b.latency_ticks) << name << " op " << i;
+      if (b.latency_ticks > pol.timeout_ticks) ++overran;
+      EXPECT_EQ(a.hops, b.hops) << name << " op " << i;
+      EXPECT_EQ(a.messages, b.messages) << name << " op " << i;
+      EXPECT_EQ(a.peer, b.peer) << name << " op " << i;
+    }
+    EXPECT_GT(overran, 0) << name;
+  }
+}
+
 // ---------- RetryOrigin contracts ----------
 
 TEST(Resilience, RetryOriginReturnsLiveMembersOnEveryBackend) {

@@ -334,6 +334,77 @@ TEST(NetworkSim, WindowsResetTheFrontierAndAdvanceTheClock) {
   EXPECT_EQ(q.now(), 10u);
 }
 
+TEST(NetworkSim, StrayCountsMoveTheClockAtTheNextWindowEnd) {
+  net::Network net;
+  net::PeerId a = net.Register(), b = net.Register(), c = net.Register();
+  sim::EventQueue q;
+  sim::ConstantLatency lat(3);
+  net.AttachSim(&q, &lat, 1);
+
+  net.BeginOpWindow();
+  net.Count(a, b, net::MsgType::kInsert);
+  EXPECT_EQ(net.EndOpWindow(), 3u);
+  EXPECT_EQ(q.now(), 3u);
+
+  // Outside any window: a two-hop relay anchored at the clock (3), landing
+  // at 9. The clock does not move until a window closes.
+  net.Count(b, a, net::MsgType::kInsert);
+  net.Count(a, c, net::MsgType::kInsert);
+  EXPECT_EQ(q.now(), 3u);
+
+  // The next operation completes at 6, but the stray relay arrives later;
+  // the window still reports only its own critical path.
+  net.BeginOpWindow();
+  net.Count(b, c, net::MsgType::kInsert);
+  EXPECT_EQ(net.EndOpWindow(), 3u);
+  EXPECT_EQ(q.now(), 9u);
+  EXPECT_EQ(net.sim_delivered(), 4u);
+}
+
+TEST(NetworkSim, ForeignEventsRunAndTheClockTakesTheLaterEnd) {
+  net::Network net;
+  net::PeerId a = net.Register(), b = net.Register();
+  sim::EventQueue q;
+  sim::ConstantLatency lat(5);
+  net.AttachSim(&q, &lat, 1);
+  std::vector<sim::Time> fired;
+
+  // A foreign event past the operation's completion: the clock ends on it.
+  q.ScheduleAt(20, [&] { fired.push_back(q.now()); });
+  net.BeginOpWindow();
+  net.Count(a, b, net::MsgType::kExactQuery);
+  EXPECT_EQ(net.EndOpWindow(), 5u);
+  EXPECT_EQ(fired, (std::vector<sim::Time>{20}));
+  EXPECT_EQ(q.now(), 20u);
+
+  // A foreign event before the completion: it runs at its own time and the
+  // clock ends on the operation.
+  q.ScheduleAt(21, [&] { fired.push_back(q.now()); });
+  net.BeginOpWindow();
+  net.Count(a, b, net::MsgType::kExactQuery);
+  net.Count(b, a, net::MsgType::kExactQuery);
+  EXPECT_EQ(net.EndOpWindow(), 10u);
+  EXPECT_EQ(fired, (std::vector<sim::Time>{20, 21}));
+  EXPECT_EQ(q.now(), 30u);
+}
+
+TEST(NetworkSim, CountsQueueNoEvents) {
+  net::Network net;
+  net::PeerId a = net.Register(), b = net.Register();
+  sim::EventQueue q;
+  sim::ConstantLatency lat(2);
+  net.AttachSim(&q, &lat, 1);
+
+  net.BeginOpWindow();
+  net.Count(a, b, net::MsgType::kExactQuery);
+  EXPECT_EQ(q.pending(), 0u);
+  net.Count(b, a, net::MsgType::kExactQuery);
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(net.EndOpWindow(), 4u);
+  EXPECT_EQ(q.processed(), 0u);
+  EXPECT_EQ(net.sim_delivered(), 2u);
+}
+
 TEST(NetworkSim, DetachedWindowsReportZero) {
   net::Network net;
   net::PeerId a = net.Register(), b = net.Register();

@@ -61,6 +61,14 @@ GOLDENS = {
     "faults": ("bench_faults", [], []),
     "cache": ("bench_cache", [], []),
     "throughput": ("bench_throughput", [], []),
+    # Bounded serving: drops, timeouts, straggler overrides and equal-tick
+    # arrival/continuation ordering, none of which the default run reaches.
+    "throughput_bounded": (
+        "bench_throughput",
+        ["--arrivals=fixed", "--service-ticks=2", "--max-queue=8",
+         "--timeout-ticks=100", "--stragglers=4:3"],
+        [],
+    ),
 }
 
 

@@ -482,8 +482,9 @@ void Run(const Options& opt, const CacheFlags& flags) {
 int main(int argc, char** argv) {
   baton::bench::CacheFlags flags;
   baton::bench::Options opt = baton::bench::ParseOptions(
-      argc, argv, {baton::bench::BackendFlags(), baton::bench::LatencyFlags(),
-                   baton::bench::KeyDistFlags(), flags.Flags()});
+      argc, argv, {baton::bench::QueryFlags(), baton::bench::BackendFlags(),
+                   baton::bench::LatencyFlags(), baton::bench::KeyDistFlags(),
+                   flags.Flags()});
   // This bench's JSON table is its primary artifact: default the mirror on.
   if (opt.json_path.empty()) {
     opt.json_path = "BENCH_cache.json";

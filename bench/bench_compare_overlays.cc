@@ -189,7 +189,7 @@ void Run(const Options& opt) {
 int main(int argc, char** argv) {
   baton::bench::Run(baton::bench::ParseOptions(
       argc, argv,
-      {baton::bench::BackendFlags(), baton::bench::LatencyFlags(),
-       baton::bench::ObsFlags()}));
+      {baton::bench::QueryFlags(), baton::bench::BackendFlags(),
+       baton::bench::LatencyFlags(), baton::bench::ObsFlags()}));
   return 0;
 }

@@ -300,8 +300,8 @@ void Run(const Options& opt, const FaultFlags& faults) {
 int main(int argc, char** argv) {
   baton::bench::FaultFlags faults;
   baton::bench::Options opt = baton::bench::ParseOptions(
-      argc, argv, {baton::bench::BackendFlags(), baton::bench::LatencyFlags(),
-                   faults.Flags()});
+      argc, argv, {baton::bench::QueryFlags(), baton::bench::BackendFlags(),
+                   baton::bench::LatencyFlags(), faults.Flags()});
   // This bench's JSON table is its primary artifact: default the mirror on.
   if (opt.json_path.empty()) {
     opt.json_path = "BENCH_faults.json";

@@ -68,6 +68,6 @@ void Run(const Options& opt) {
 
 int main(int argc, char** argv) {
   baton::bench::Run(baton::bench::ParseOptions(
-      argc, argv, {baton::bench::KeyDistFlags()}));
+      argc, argv, {baton::bench::QueryFlags(), baton::bench::KeyDistFlags()}));
   return 0;
 }

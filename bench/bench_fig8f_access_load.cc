@@ -74,6 +74,7 @@ void Run(const Options& opt) {
 }  // namespace baton
 
 int main(int argc, char** argv) {
-  baton::bench::Run(baton::bench::ParseOptions(argc, argv));
+  baton::bench::Run(baton::bench::ParseOptions(
+      argc, argv, {baton::bench::QueryFlags()}));
   return 0;
 }

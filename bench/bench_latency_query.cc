@@ -163,8 +163,9 @@ void Run(const Options& opt) {
 
 int main(int argc, char** argv) {
   baton::bench::Options opt = baton::bench::ParseOptions(
-      argc, argv, {baton::bench::BackendFlags(), baton::bench::LatencyFlags(),
-                   baton::bench::ObsFlags(), baton::bench::KeyDistFlags()});
+      argc, argv, {baton::bench::QueryFlags(), baton::bench::BackendFlags(),
+                   baton::bench::LatencyFlags(), baton::bench::ObsFlags(),
+                   baton::bench::KeyDistFlags()});
   if (!opt.latency.enabled()) {
     // A latency bench without a latency model would print zeros; default to
     // one tick per hop so ticks read as sequential-hop equivalents.

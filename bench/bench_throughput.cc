@@ -278,8 +278,8 @@ void Run(const Options& opt, const ServeFlags& serve) {
 int main(int argc, char** argv) {
   baton::bench::ServeFlags serve;
   baton::bench::Options opt = baton::bench::ParseOptions(
-      argc, argv, {baton::bench::BackendFlags(), baton::bench::KeyDistFlags(),
-                   serve.Flags()});
+      argc, argv, {baton::bench::QueryFlags(), baton::bench::BackendFlags(),
+                   baton::bench::KeyDistFlags(), serve.Flags()});
   baton::bench::Run(opt, serve);
   return 0;
 }

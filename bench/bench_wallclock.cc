@@ -154,7 +154,8 @@ Flag PhasesFlag(Phases* phases) {
 
 int Main(int argc, char** argv) {
   Phases phases;
-  Options opt = ParseOptions(argc, argv, {BackendFlags(), {PhasesFlag(&phases)}});
+  Options opt = ParseOptions(
+      argc, argv, {QueryFlags(), BackendFlags(), {PhasesFlag(&phases)}});
   // This bench's JSON table is its primary artifact: default the mirror on.
   if (opt.json_path.empty()) {
     opt.json_path = "BENCH_wallclock.json";

@@ -308,11 +308,6 @@ FlagGroup CoreFlags() {
          opt->keys_per_node =
              static_cast<size_t>(ParseFlagUint("--keys", v, 0));
        }},
-      {"queries", "N", "queries/operations per point",
-       [](const char* v, Options* opt) {
-         opt->queries =
-             static_cast<int>(ParseFlagUint("--queries", v, 0, INT_MAX));
-       }},
       {"seed", "S", "base RNG seed",
        [](const char* v, Options* opt) {
          opt->base_seed = ParseFlagUint("--seed", v, 0);
@@ -372,6 +367,16 @@ void FlagError(const std::string& message) {
   std::fprintf(stderr, "%s\n", message.c_str());
   PrintUsage(stderr);
   std::exit(2);
+}
+
+FlagGroup QueryFlags() {
+  return {
+      {"queries", "N", "queries/operations per point",
+       [](const char* v, Options* opt) {
+         opt->queries =
+             static_cast<int>(ParseFlagUint("--queries", v, 0, INT_MAX));
+       }},
+  };
 }
 
 FlagGroup BackendFlags() {

@@ -106,6 +106,9 @@ struct Flag {
 using FlagGroup = std::vector<Flag>;
 
 // Groups for the Options fields only some benches read.
+/// --queries: the benches whose op count is Options::queries (the
+/// fig8a/b/g/h and load-balance ablation tables use fixed op counts).
+FlagGroup QueryFlags();
 /// --overlay and --threads: the multi-backend benches built on RunTasks.
 FlagGroup BackendFlags();
 /// --latency: the benches that call Attach.
@@ -185,7 +188,7 @@ struct CacheFlags {
 inline constexpr int kBenchJsonSchema = 2;
 
 /// Parses the core flags every bench accepts -- --paper_scale, --csv,
-/// --seeds=N, --keys=N, --queries=N, --sizes=a,b,c, --seed=S, --json=PATH,
+/// --seeds=N, --keys=N, --sizes=a,b,c, --seed=S, --json=PATH,
 /// --list-overlays (prints overlay::RegisteredNames() one per line, exits
 /// 0), --help (prints usage, exits 0) -- plus the flags of `groups`, which
 /// --help lists after them. Unknown flags print the usage and exit 2;

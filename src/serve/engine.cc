@@ -1,6 +1,6 @@
 #include "serve/engine.h"
 
-#include <functional>
+#include <algorithm>
 #include <utility>
 
 #include "fault/fault.h"
@@ -14,70 +14,221 @@ using workload::AppliedOp;
 using workload::Op;
 using workload::OpType;
 
-/// One admitted operation's serving state: its arrival tick and the
-/// receiver sequence its captured message trail prescribes. `next_hop`
+namespace {
+
+/// One admitted operation's serving state: its arrival tick and its hop
+/// chain, the slice [next, end) of the run's flat receiver vector. `next`
 /// walks the chain as service completions release successive hops.
-struct Engine::InFlight {
+struct InFlight {
   sim::Time arrival = 0;
-  std::vector<net::PeerId> path;
-  size_t next_hop = 0;
+  size_t next = 0;
+  size_t end = 0;
 };
 
-/// Whole-run state shared by the event continuations. Lives on
-/// RunInternal's stack; no event outlives the run (RunUntilIdle drains the
-/// queue before RunState is destroyed), and every run owns its own state --
-/// concurrent engines on a bench worker pool never share anything.
+/// The one pending event of an in-flight op (24 bytes).
+struct Event {
+  enum class Kind : uint8_t {
+    kDeliver,   // hop `next` reaches its receiver's queue
+    kServiced,  // the receiver finished servicing hop `next`
+  };
+  sim::Time at;
+  uint64_t seq;  // scheduling order, the tie-break at an equal tick
+  uint32_t idx;  // trace index of the owning op
+  Kind kind;
+};
+
+/// Heap comparator inverted into a min-heap on (at, seq). Branch-free, so
+/// the heap's child selection does not hinge on a mispredicted jump.
+struct Later {
+  bool operator()(const Event& a, const Event& b) const {
+    return (a.at > b.at) | ((a.at == b.at) & (a.seq > b.seq));
+  }
+};
+
+}  // namespace
+
+/// Whole-run state. Lives on RunInternal's stack, so concurrent engines on
+/// a bench worker pool never share anything.
 struct Engine::RunState {
-  sim::EventQueue queue;
-  NodeModel nodes{1};
-  EngineResult res;
-  std::vector<InFlight> ops;
-  const workload::Trace* trace = nullptr;
-  const EngineConfig* cfg = nullptr;
-  net::MessageTrail* trail = nullptr;
-  Rng* op_rng = nullptr;
-  bool closed_loop = false;
-  size_t next_admission = 0;  // closed loop: next trace index to admit
-  /// Called when op `idx`'s chain finishes (completed) or is shed (dropped);
-  /// in closed-loop mode it also resumes admission.
-  std::function<void(size_t idx, bool completed)> on_done;
+  RunState(const Engine& e, const workload::Trace& t, Rng* rng,
+           net::MessageTrail* tr, bool closed)
+      : ov(*e.ov_),
+        members(e.members_),
+        cfg(e.cfg_),
+        trace(t),
+        op_rng(rng),
+        trail(tr),
+        closed_loop(closed),
+        nodes(e.cfg_.service_ticks),
+        ops(t.size()) {}
 
-  /// Schedules hop `ops[idx].next_hop` for delivery one hop latency after
-  /// `departs`.
-  void Send(size_t idx, sim::Time departs);
-  /// Hop arrival at its receiver: join the node's FIFO (or be shed at the
-  /// queue bound), and on service completion release the next hop -- or
-  /// finish the op.
+  overlay::Overlay& ov;
+  std::vector<net::PeerId>* members;
+  const EngineConfig& cfg;
+  const workload::Trace& trace;
+  Rng* op_rng;
+  net::MessageTrail* trail;
+  bool closed_loop;
+
+  sim::Time now = 0;
+  uint64_t next_seq = 0;
+  std::vector<Event> pending;     // heap: one event per in-flight op
+  NodeModel nodes;
+  EngineResult res;
+  std::vector<InFlight> ops;      // by trace index
+  std::vector<net::PeerId> hops;  // every admitted op's receivers, in order
+  size_t next_admission = 0;      // closed loop: next trace index to admit
+
+  void Schedule(sim::Time at, size_t idx, Event::Kind kind) {
+    pending.push_back({at, next_seq++, static_cast<uint32_t>(idx), kind});
+    std::push_heap(pending.begin(), pending.end(), Later{});
+  }
+
+  /// Drives the run until no op is in flight and no arrival is left.
+  void Loop(Arrivals* arrivals);
+  /// Admits trace op `i` at `now`: the overlay executes it synchronously
+  /// (Replay semantics via ApplyOp), then the captured trail becomes the
+  /// op's hop chain. Returns true when a chain is now in flight.
+  bool Admit(size_t i);
+  /// Closed loop: walks the trace from `from`, admitting until one op puts
+  /// a chain in flight (its end resumes the walk) or the trace ends.
+  void AdmitClosedFrom(size_t from);
+  /// Hop arrival at its receiver: join the node's FIFO, or be shed at the
+  /// queue bound and drop the op.
   void Deliver(size_t idx);
+  /// Service completion: release the next hop, or finish the op.
+  void Serviced(size_t idx);
+  /// Op `idx`'s chain finished (completed) or was shed (dropped); in
+  /// closed-loop mode this also resumes admission.
+  void Finish(size_t idx, bool completed);
 };
 
-void Engine::RunState::Send(size_t idx, sim::Time departs) {
-  queue.ScheduleAt(departs + cfg->hop_latency,
-                   [this, idx] { Deliver(idx); });
+void Engine::RunState::Loop(Arrivals* arrivals) {
+  // Open loop reads arrivals through a cursor: op `arriving` is due at
+  // `arrival_at`, and the next time is drawn only once it is admitted.
+  // Closed loop has no arrivals; each finished op admits the next.
+  size_t arriving = trace.size();
+  sim::Time arrival_at = 0;
+  if (closed_loop) {
+    AdmitClosedFrom(0);
+  } else if (!trace.empty()) {
+    arriving = 0;
+    arrival_at = arrivals->Next();
+  }
+  for (;;) {
+    // An arrival wins a tie with a continuation: in a single queue holding
+    // every arrival up front, each arrival would carry the lower sequence.
+    if (arriving < trace.size() &&
+        (pending.empty() || arrival_at <= pending.front().at)) {
+      now = arrival_at;
+      Admit(arriving);
+      if (++arriving < trace.size()) {
+        sim::Time t = arrivals->Next();
+        BATON_CHECK_GE(t, arrival_at) << "arrival times must be non-decreasing";
+        arrival_at = t;
+      }
+      continue;
+    }
+    if (pending.empty()) return;
+    std::pop_heap(pending.begin(), pending.end(), Later{});
+    const Event ev = pending.back();
+    pending.pop_back();
+    now = ev.at;
+    if (ev.kind == Event::Kind::kDeliver) {
+      Deliver(ev.idx);
+    } else {
+      Serviced(ev.idx);
+    }
+  }
+}
+
+bool Engine::RunState::Admit(size_t i) {
+  const Op& op = trace[i];
+  workload::OpAggregate* agg = &res.replay.per_op[static_cast<size_t>(op.type)];
+  trail->Clear();
+  AppliedOp applied = workload::ApplyOp(ov, op, op_rng, members, cfg.replay);
+  switch (applied.disposition) {
+    case AppliedOp::Disposition::kSkipped:
+      ++agg->skipped;
+      return false;
+    case AppliedOp::Disposition::kUnsupported:
+      ++agg->unsupported;
+      return false;
+    case AppliedOp::Disposition::kExecuted:
+      break;
+  }
+  agg->Accumulate(applied.stats);
+  res.replay.total_messages += applied.stats.messages;
+  res.replay.total_latency += applied.stats.latency_ticks;
+  if (cfg.replay.record_answers) {
+    if (op.type == OpType::kExact) {
+      res.replay.exact_found.push_back(applied.stats.found);
+    } else if (op.type == OpType::kRange) {
+      res.replay.range_matches.push_back(applied.stats.matches);
+    }
+  }
+  ++res.admitted;
+
+  InFlight& fl = ops[i];
+  fl.arrival = now;
+  fl.next = hops.size();
+  for (const net::MessageTrail::Hop& h : trail->hops()) hops.push_back(h.to);
+  fl.end = hops.size();
+  if (fl.next == fl.end) {
+    // Origin answered locally: no messages, no service demand.
+    ++res.local_ops;
+    ++res.completed;
+    res.sojourn.Add(0);
+    res.completions.push_back(now);
+    return false;
+  }
+  Schedule(now + cfg.hop_latency, i, Event::Kind::kDeliver);
+  return true;
+}
+
+void Engine::RunState::AdmitClosedFrom(size_t from) {
+  for (size_t i = from; i < trace.size(); ++i) {
+    if (Admit(i)) {
+      next_admission = i + 1;
+      return;
+    }
+  }
+  next_admission = trace.size();
 }
 
 void Engine::RunState::Deliver(size_t idx) {
-  InFlight& op = ops[idx];
-  net::PeerId node = op.path[op.next_hop];
-  NodeModel::Admission adm = nodes.Admit(node, queue.now(), cfg->max_queue);
+  NodeModel::Admission adm =
+      nodes.Admit(hops[ops[idx].next], now, cfg.max_queue);
   if (!adm.accepted) {
-    ++res.dropped;
-    op.path.clear();  // abandon the remaining chain
-    on_done(idx, /*completed=*/false);
+    ++res.dropped;  // the rest of the chain is abandoned
+    Finish(idx, /*completed=*/false);
     return;
   }
-  res.queue_wait.Add(adm.start - queue.now());
+  res.queue_wait.Add(adm.start - now);
   res.queue_depth.Add(adm.ahead);
-  queue.ScheduleAt(adm.done, [this, idx] {
-    InFlight& o = ops[idx];
-    ++o.next_hop;
-    if (o.next_hop < o.path.size()) {
-      Send(idx, queue.now());
-      return;
+  Schedule(adm.done, idx, Event::Kind::kServiced);
+}
+
+void Engine::RunState::Serviced(size_t idx) {
+  InFlight& op = ops[idx];
+  if (++op.next < op.end) {
+    Schedule(now + cfg.hop_latency, idx, Event::Kind::kDeliver);
+    return;
+  }
+  Finish(idx, /*completed=*/true);
+}
+
+void Engine::RunState::Finish(size_t idx, bool completed) {
+  if (completed) {
+    sim::Time sojourn = now - ops[idx].arrival;
+    ++res.completed;
+    res.sojourn.Add(sojourn);
+    res.completions.push_back(now);
+    if (cfg.timeout_ticks > 0 && sojourn > cfg.timeout_ticks) {
+      ++res.timed_out;
     }
-    o.path.clear();
-    on_done(idx, /*completed=*/true);
-  });
+  }
+  if (closed_loop) AdmitClosedFrom(next_admission);
 }
 
 Engine::Engine(overlay::Overlay* ov, std::vector<net::PeerId>* members,
@@ -104,117 +255,24 @@ EngineResult Engine::RunInternal(const workload::Trace& trace,
                                  bool closed_loop) {
   BATON_CHECK(!members_->empty())
       << "Engine needs a bootstrapped overlay with at least one member";
-  RunState st;
-  st.trace = &trace;
-  st.cfg = &cfg_;
-  st.op_rng = op_rng;
-  st.closed_loop = closed_loop;
-  st.nodes = NodeModel(cfg_.service_ticks);
-  for (const auto& [node, ticks] : cfg_.node_service_overrides) {
-    st.nodes.SetNodeServiceTicks(node, ticks);
-  }
-  st.ops.resize(trace.size());
+  BATON_CHECK_LE(trace.size(), UINT32_MAX) << "events index ops in 32 bits";
 
   // Capture every message the overlay sends during an admission, chaining
   // to whatever observer (obs::Observer, usually) was already attached so
-  // instrumentation keeps working underneath the engine. The engine's own
-  // queue is private by construction, so a sim/ kernel attached to the
-  // network (AttachLatency) keeps timing individual ops on its separate
-  // queue without ever draining engine events mid-operation.
+  // instrumentation keeps working underneath the engine. A sim/ kernel
+  // attached to the network (AttachLatency) keeps timing individual ops on
+  // its own queue; the engine never schedules anything there.
   net::Network* net = ov_->network();
   net::MessageTrail trail(net->observer());
-  st.trail = &trail;
   net->AttachObserver(&trail);
 
-  // Admits trace op `i` at the current queue time: the overlay executes it
-  // synchronously (Replay semantics via ApplyOp), then the captured trail
-  // becomes the op's hop chain. Returns true when a chain is now in flight.
-  auto admit = [this, &st](size_t i) -> bool {
-    const Op& op = (*st.trace)[i];
-    workload::OpAggregate* agg =
-        &st.res.replay.per_op[static_cast<size_t>(op.type)];
-    st.trail->Clear();
-    AppliedOp applied =
-        workload::ApplyOp(*ov_, op, st.op_rng, members_, cfg_.replay);
-    switch (applied.disposition) {
-      case AppliedOp::Disposition::kSkipped:
-        ++agg->skipped;
-        return false;
-      case AppliedOp::Disposition::kUnsupported:
-        ++agg->unsupported;
-        return false;
-      case AppliedOp::Disposition::kExecuted:
-        break;
-    }
-    agg->Accumulate(applied.stats);
-    st.res.replay.total_messages += applied.stats.messages;
-    st.res.replay.total_latency += applied.stats.latency_ticks;
-    if (cfg_.replay.record_answers) {
-      if (op.type == OpType::kExact) {
-        st.res.replay.exact_found.push_back(applied.stats.found);
-      } else if (op.type == OpType::kRange) {
-        st.res.replay.range_matches.push_back(applied.stats.matches);
-      }
-    }
-    ++st.res.admitted;
-
-    InFlight& fl = st.ops[i];
-    fl.arrival = st.queue.now();
-    fl.path.reserve(st.trail->hops().size());
-    for (const net::MessageTrail::Hop& h : st.trail->hops()) {
-      fl.path.push_back(h.to);
-    }
-    if (fl.path.empty()) {
-      // Origin answered locally: no messages, no service demand.
-      ++st.res.local_ops;
-      ++st.res.completed;
-      st.res.sojourn.Add(0);
-      st.res.completions.push_back(st.queue.now());
-      return false;
-    }
-    st.Send(i, st.queue.now());
-    return true;
-  };
-
-  // Closed loop: walk the trace from `from`, admitting until one op puts a
-  // chain in flight (its completion resumes the walk) or the trace ends.
-  auto admit_closed_from = [&st, &admit](size_t from) {
-    for (size_t i = from; i < st.trace->size(); ++i) {
-      if (admit(i)) {
-        st.next_admission = i + 1;
-        return;
-      }
-    }
-    st.next_admission = st.trace->size();
-  };
-
-  st.on_done = [this, &st, &admit_closed_from](size_t idx, bool completed) {
-    if (completed) {
-      sim::Time sojourn = st.queue.now() - st.ops[idx].arrival;
-      ++st.res.completed;
-      st.res.sojourn.Add(sojourn);
-      st.res.completions.push_back(st.queue.now());
-      if (cfg_.timeout_ticks > 0 && sojourn > cfg_.timeout_ticks) {
-        ++st.res.timed_out;
-      }
-    }
-    if (st.closed_loop) admit_closed_from(st.next_admission);
-  };
-
-  if (closed_loop) {
-    admit_closed_from(0);
-  } else {
-    sim::Time prev = 0;
-    for (size_t i = 0; i < trace.size(); ++i) {
-      sim::Time t = arrivals->Next();
-      BATON_CHECK_GE(t, prev) << "arrival times must be non-decreasing";
-      prev = t;
-      st.queue.ScheduleAt(t, [&admit, i] { admit(i); });
-    }
+  RunState st(*this, trace, op_rng, &trail, closed_loop);
+  for (const auto& [node, ticks] : cfg_.node_service_overrides) {
+    st.nodes.SetNodeServiceTicks(node, ticks);
   }
-  st.queue.RunUntilIdle();
+  st.Loop(arrivals);
 
-  st.res.makespan = st.queue.now();
+  st.res.makespan = st.now;
   st.res.max_node_served = st.nodes.max_served();
   st.res.peak_queue_depth = st.nodes.max_peak_depth();
   st.res.total_service_ticks = st.nodes.total_busy_ticks();
@@ -252,7 +310,7 @@ EngineResult Engine::RunInternal(const workload::Trace& trace,
       }
     }
   }
-  return st.res;
+  return std::move(st.res);
 }
 
 }  // namespace serve

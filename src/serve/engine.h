@@ -7,24 +7,33 @@
 // methodology and exactly NOT what serving millions of concurrent users
 // looks like. The engine instead accepts a whole trace of operations with
 // an arrival time each (serve::Arrivals, open loop) and interleaves their
-// hop-by-hop progress through one sim::EventQueue:
+// hop-by-hop progress on one virtual timeline:
 //
-//  1. At its arrival event, an op is admitted: the overlay executes it
-//     through the same workload::ApplyOp the sequential Replay uses (same
-//     rng draw discipline, same member bookkeeping, same OpStats), while a
-//     net::MessageTrail captures the operation's message sequence at the
-//     measured-wrapper boundary.
-//  2. The trail then becomes the op's continuation schedule: hop k is
-//     delivered to its receiver one hop_latency after hop k-1 finished
-//     service, waits in that node's FIFO queue (serve::NodeModel) behind
-//     every other in-flight op's messages, is serviced for service_ticks,
-//     and only then releases hop k+1. Ops race each other at hot nodes:
-//     queueing delay -- not hop count -- is what separates backends under
-//     skewed load.
+//  1. When its arrival comes due, an op is admitted: the overlay executes
+//     it through the same workload::ApplyOp the sequential Replay uses
+//     (same rng draw discipline, same member bookkeeping, same OpStats),
+//     while a net::MessageTrail captures the operation's message sequence
+//     at the measured-wrapper boundary.
+//  2. The trail then becomes the op's hop chain: hop k is delivered to its
+//     receiver one hop_latency after hop k-1 finished service, waits in
+//     that node's FIFO queue (serve::NodeModel) behind every other
+//     in-flight op's messages, is serviced for service_ticks, and only then
+//     releases hop k+1. Ops race each other at hot nodes: queueing delay --
+//     not hop count -- is what separates backends under skewed load.
 //  3. When an op's last hop completes service, its sojourn time
 //     (completion - arrival) lands in a log-bucketed histogram; drops
 //     (queue bound exceeded) and timeouts (sojourn past a deadline) are
 //     counted as first-class overload outcomes.
+//
+// The event loop is the engine's own. Arrival times are read through a
+// cursor: the time of op i+1 is drawn from Arrivals::Next() only once op i
+// is admitted. Every in-flight op has exactly one pending event -- its next
+// hop's delivery or its current hop's service completion -- kept as a
+// plain (tick, sequence, op, kind) record in a private heap, so the
+// pending set never holds more than one event per op in flight, whatever
+// the trace length. Ordering contract: events run in tick order; at an
+// equal tick, due arrivals come first, in trace order, then continuations
+// in the order they were scheduled.
 //
 // Hops are serviced in trail (causal send) order, one service chain per op:
 // fan-out bursts serialize at their receivers rather than racing in
@@ -32,9 +41,9 @@
 // service_ticks of CPU no matter how parallel the wire is, and it is the
 // receiver occupancy that saturates first. The sim/ critical-path
 // attachment (OpStats::latency_ticks) remains the fan-out-aware wire-time
-// model; the two compose because they run on separate queues (each engine
-// run owns a private queue that nothing else can reach, so the network's
-// AttachSim kernel never sees, or drains, engine events).
+// model; the two compose because the engine schedules nothing on the
+// network's sim::EventQueue: a kernel attached with AttachLatency times
+// each op inside its admission, on its own queue.
 //
 // Closed-loop mode (RunClosedLoop) admits op i+1 only when op i has fully
 // drained -- today's one-at-a-time semantics on the serving timeline. Its
@@ -44,8 +53,8 @@
 // does.
 //
 // Determinism: one op rng stream (caller-provided, Replay-compatible),
-// arrival processes own their rng, the event queue breaks time ties by
-// insertion order. Identical inputs give identical timelines, drops and
+// arrival processes own their rng, and the ordering contract above fixes
+// every tie. Identical inputs give identical timelines, drops and
 // histograms on every run and thread count.
 #ifndef BATON_SERVE_ENGINE_H_
 #define BATON_SERVE_ENGINE_H_
@@ -154,7 +163,6 @@ class Engine {
   EngineResult RunClosedLoop(const workload::Trace& trace, Rng* op_rng);
 
  private:
-  struct InFlight;
   struct RunState;
 
   EngineResult RunInternal(const workload::Trace& trace, Arrivals* arrivals,

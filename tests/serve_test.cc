@@ -193,24 +193,27 @@ void ExpectAggregatesEqual(const workload::ReplayResult& a,
   EXPECT_EQ(a.range_matches, b.range_matches);
 }
 
+/// A mixed query trace with membership churn woven in: it exercises every
+/// ApplyOp path.
+workload::Trace MixedChurnTrace() {
+  Rng trng(Mix64(99));
+  workload::UniformKeys gen(1, 100000);
+  workload::Trace trace = MakeMixedTrace(&trng, &gen, 30, 10, 40, 10, 500);
+  trace.insert(trace.begin() + 5, {OpType::kJoin, 0, 0});
+  trace.insert(trace.begin() + 25, {OpType::kLeave, 0, 0});
+  trace.insert(trace.begin() + 45, {OpType::kJoin, 0, 0});
+  return trace;
+}
+
 /// The differential anchor: the engine's closed-loop mode must reproduce
 /// workload::Replay's aggregates EXACTLY -- same rng discipline, same
-/// member bookkeeping, same OpStats -- on every registered backend. A mixed
-/// trace (with membership churn woven in) exercises every ApplyOp path.
+/// member bookkeeping, same OpStats -- on every registered backend.
 TEST(Engine, ClosedLoopMatchesReplayOnAllBackends) {
   for (const std::string& name : overlay::RegisteredNames()) {
     SCOPED_TRACE(name);
     Built ground = Grow(name, 40, 11);
     Built served = Grow(name, 40, 11);
-
-    Rng trng(Mix64(99));
-    workload::UniformKeys gen(1, 100000);
-    workload::Trace trace =
-        MakeMixedTrace(&trng, &gen, 30, 10, 40, 10, 500);
-    // Weave membership churn through the query mix.
-    trace.insert(trace.begin() + 5, {OpType::kJoin, 0, 0});
-    trace.insert(trace.begin() + 25, {OpType::kLeave, 0, 0});
-    trace.insert(trace.begin() + 45, {OpType::kJoin, 0, 0});
+    workload::Trace trace = MixedChurnTrace();
 
     workload::ReplayOptions ropts;
     ropts.record_answers = true;
@@ -235,6 +238,64 @@ TEST(Engine, ClosedLoopMatchesReplayOnAllBackends) {
     EXPECT_EQ(got.admitted + not_run, trace.size());
     EXPECT_EQ(got.completed, got.admitted);  // nothing drops in closed loop
     EXPECT_EQ(got.dropped, 0u);
+  }
+}
+
+/// Counts Next() calls on their way to the wrapped arrival process.
+class CountingArrivals : public serve::Arrivals {
+ public:
+  explicit CountingArrivals(serve::Arrivals* inner) : inner_(inner) {}
+  sim::Time Next() override {
+    ++calls_;
+    return inner_->Next();
+  }
+  size_t calls() const { return calls_; }
+
+ private:
+  serve::Arrivals* inner_;
+  size_t calls_ = 0;
+};
+
+/// Open loop changes when ops are served, never what they do: with arrivals
+/// dense enough to queue and shed, the per-op aggregates and answers still
+/// match sequential Replay on every backend, and the arrival process is
+/// read exactly once per op.
+TEST(Engine, OpenLoopAggregatesMatchReplayOnAllBackends) {
+  for (const std::string& name : overlay::RegisteredNames()) {
+    SCOPED_TRACE(name);
+    Built ground = Grow(name, 40, 11);
+    Built served = Grow(name, 40, 11);
+    workload::Trace trace = MixedChurnTrace();
+
+    workload::ReplayOptions ropts;
+    ropts.record_answers = true;
+
+    Rng r1(42);
+    workload::ReplayResult expected =
+        workload::Replay(*ground.ov, trace, &r1, &ground.members, ropts);
+
+    EngineConfig cfg;
+    cfg.replay = ropts;
+    cfg.service_ticks = 4;
+    cfg.max_queue = 2;
+    Engine engine(served.ov.get(), &served.members, cfg);
+    serve::FixedArrivals burst(4.0);  // far past capacity
+    CountingArrivals arrivals(&burst);
+    Rng r2(42);
+    EngineResult got = engine.Run(trace, &arrivals, &r2);
+
+    ExpectAggregatesEqual(got.replay, expected);
+    EXPECT_EQ(ground.members, served.members);
+    EXPECT_GT(got.dropped, 0u);
+    EXPECT_EQ(got.completed + got.dropped, got.admitted);
+    EXPECT_EQ(arrivals.calls(), trace.size());
+
+    serve::FixedArrivals idle(4.0);
+    CountingArrivals none(&idle);
+    EngineResult empty = engine.Run({}, &none, &r2);
+    EXPECT_EQ(empty.makespan, 0u);
+    EXPECT_EQ(empty.admitted, 0u);
+    EXPECT_EQ(none.calls(), 0u);
   }
 }
 

@@ -119,16 +119,8 @@ class BatonNetwork {
   // Index operations (section IV).
   // ------------------------------------------------------------------
 
-  struct SearchResult {
-    PeerId node = kNullPeer;  // node whose range contains the key
-    bool found = false;       // true if the key is stored there
-    int hops = 0;
-  };
-  struct RangeResult {
-    std::vector<PeerId> nodes;  // nodes intersecting the range, left to right
-    uint64_t matches = 0;       // stored keys in [lo, hi)
-    int hops = 0;
-  };
+  using SearchResult = net::SearchResult;
+  using RangeResult = net::RangeResult;
 
   /// Exact-match query issued at `from` (section IV-A).
   Result<SearchResult> ExactSearch(PeerId from, Key key);
@@ -364,7 +356,7 @@ class BatonNetwork {
 
   // ---- replication glue (replicate.cc) ----
   /// Holder candidates for x's replicas, in preference order (adjacents,
-  /// then parent/children, then routing-table neighbours, per config).
+  /// then parent/children, then routing-table neighbours).
   std::vector<PeerId> ReplicaCandidates(const BatonNode* x) const;
   /// Bulk (re)sync after x's bag changed wholesale; also tops up holders.
   /// `via` names the peer relaying on x's behalf when x itself is a dead

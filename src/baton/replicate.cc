@@ -10,7 +10,6 @@
 namespace baton {
 
 std::vector<PeerId> BatonNetwork::ReplicaCandidates(const BatonNode* x) const {
-  const replication::ReplicationConfig& rc = config_.replication;
   std::vector<PeerId> out;
   auto add = [&](const NodeRef& ref) {
     if (!ref.valid() || ref.peer == x->id) return;
@@ -20,20 +19,20 @@ std::vector<PeerId> BatonNetwork::ReplicaCandidates(const BatonNode* x) const {
     }
     out.push_back(ref.peer);
   };
-  if (rc.use_adjacents) {
-    add(x->left_adj);
-    add(x->right_adj);
-  }
-  if (rc.use_routing_neighbours) {
-    add(x->parent);
-    add(x->left_child);
-    add(x->right_child);
-    // Nearest sideways neighbours first: slot i links at distance 2^i.
-    int slots = std::max(x->left_rt.size(), x->right_rt.size());
-    for (int i = 0; i < slots; ++i) {
-      if (i < x->left_rt.size()) add(x->left_rt.entry(i));
-      if (i < x->right_rt.size()) add(x->right_rt.entry(i));
-    }
+  // Adjacent (in-order neighbour) links first: their ranges border the
+  // primary's, so a restored range stays local to the region that inherits
+  // it. Then vertical links and sideways routing-table neighbours, needed to
+  // reach factor > 2 and when adjacents are dead.
+  add(x->left_adj);
+  add(x->right_adj);
+  add(x->parent);
+  add(x->left_child);
+  add(x->right_child);
+  // Nearest sideways neighbours first: slot i links at distance 2^i.
+  int slots = std::max(x->left_rt.size(), x->right_rt.size());
+  for (int i = 0; i < slots; ++i) {
+    if (i < x->left_rt.size()) add(x->left_rt.entry(i));
+    if (i < x->right_rt.size()) add(x->right_rt.entry(i));
   }
   return out;
 }

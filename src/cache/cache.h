@@ -129,12 +129,11 @@ class Manager {
   /// the leave/fail paths, where the departed peer answers nothing.
   void InvalidatePeer(net::PeerId owner);
   /// Drops every entry intersecting [lo, hi) -- hook for the join/leave/
-  /// restructure paths, where ownership of that interval moved.
+  /// fail paths, where ownership of that interval moved.
   void InvalidateRange(uint64_t lo, uint64_t hi);
 
   void NoteHit() { ++stats_.hits; }
   void NoteMiss() { ++stats_.misses; }
-  void NoteStale() { ++stats_.stale; }
 
   // ---- Replicated root fast-table ----------------------------------------
   bool fast_enabled() const { return cfg_.root_levels > 0; }

@@ -62,11 +62,7 @@ class ChordNetwork {
   /// update of fingers pointing at the leaver.
   Status Leave(PeerId leaver);
 
-  struct LookupResult {
-    PeerId node = kNullPeer;
-    bool found = false;
-    int hops = 0;
-  };
+  using LookupResult = net::SearchResult;
   /// Exact-match query for an (unhashed) key.
   Result<LookupResult> Lookup(PeerId from, Key key);
 

@@ -124,18 +124,9 @@ class D3TreeNetwork {
   const std::vector<PeerId>& pending_failures() const { return failed_; }
 
   // ---- Index operations ----------------------------------------------------
-  struct SearchResult {
-    PeerId node = kNullPeer;
-    bool found = false;
-    int hops = 0;
-  };
+  using SearchResult = net::SearchResult;
+  using RangeResult = net::RangeResult;
   Result<SearchResult> ExactSearch(PeerId from, Key key);
-
-  struct RangeResult {
-    std::vector<PeerId> nodes;
-    uint64_t matches = 0;
-    int hops = 0;
-  };
   Result<RangeResult> RangeSearch(PeerId from, Key lo, Key hi);
 
   Status Insert(PeerId from, Key key);

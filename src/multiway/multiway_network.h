@@ -70,17 +70,9 @@ class MultiwayNetwork {
   /// its children and recruits a leaf from its subtree as replacement.
   Status Leave(PeerId leaver);
 
-  struct SearchResult {
-    PeerId node = kNullPeer;
-    bool found = false;
-    int hops = 0;
-  };
+  using SearchResult = net::SearchResult;
+  using RangeResult = net::RangeResult;
   Result<SearchResult> ExactSearch(PeerId from, Key key);
-  struct RangeResult {
-    std::vector<PeerId> nodes;
-    uint64_t matches = 0;
-    int hops = 0;
-  };
   Result<RangeResult> RangeSearch(PeerId from, Key lo, Key hi);
   Status Insert(PeerId from, Key key);
   Status Delete(PeerId from, Key key);

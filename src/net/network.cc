@@ -145,11 +145,6 @@ uint64_t Network::ProcessedBy(PeerId p, MsgCategory c) const {
   return processed_[p][static_cast<size_t>(c)];
 }
 
-void Network::ResetCounters() {
-  snapshot_ = CounterSnapshot{};
-  ResetPerPeerCounters();
-}
-
 void Network::ResetPerPeerCounters() {
   for (auto& row : processed_) row.fill(0);
 }

@@ -45,6 +45,21 @@ namespace net {
 using PeerId = uint32_t;
 inline constexpr PeerId kNullPeer = static_cast<PeerId>(-1);
 
+/// Outcome of an exact-match search, the same shape on every backend.
+struct SearchResult {
+  PeerId node = kNullPeer;  // node whose range contains the key
+  bool found = false;       // true if the key is stored there
+  int hops = 0;
+};
+
+/// Outcome of a range query [lo, hi), the same shape on every
+/// order-preserving backend.
+struct RangeResult {
+  std::vector<PeerId> nodes;  // nodes intersecting the range, left to right
+  uint64_t matches = 0;       // stored keys in [lo, hi)
+  int hops = 0;
+};
+
 /// Observability hook: one callback per counted message. Implemented by
 /// obs::Observer; net/ only sees this interface so the layering stays
 /// net <- obs <- overlay. `send_tick`/`deliver_tick` are virtual times on
@@ -138,7 +153,6 @@ class Network {
     return after.by_type[i] - before.by_type[i];
   }
 
-  void ResetCounters();
   /// Reset only the per-peer processed counts (keeps global totals).
   void ResetPerPeerCounters();
 

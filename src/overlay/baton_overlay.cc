@@ -1,12 +1,10 @@
 #include "overlay/baton_overlay.h"
 
-#include "util/check.h"
-
 namespace baton {
 namespace overlay {
 
 BatonOverlay::BatonOverlay(const BatonConfig& cfg, uint64_t seed)
-    : baton_(std::make_unique<BatonNetwork>(cfg, &net_, seed)) {}
+    : baton_(std::make_unique<BatonNetwork>(cfg, network(), seed)) {}
 
 const std::string& BatonOverlay::name() const {
   static const std::string kName = "baton";
@@ -23,15 +21,9 @@ uint32_t BatonOverlay::capabilities() const {
 PeerId BatonOverlay::RetryOrigin(PeerId origin, int attempt) const {
   if (!baton_->InOverlay(origin)) return origin;
   const BatonNode& n = baton_->node(origin);
-  PeerId cand[3];
-  int cnt = 0;
-  for (const NodeRef* r : {&n.left_adj, &n.right_adj, &n.parent}) {
-    if (r->valid() && baton_->InOverlay(r->peer) && net_.IsAlive(r->peer)) {
-      cand[cnt++] = r->peer;
-    }
-  }
-  if (cnt == 0) return origin;
-  return cand[(attempt - 1) % cnt];
+  return CycleLinks(origin, attempt,
+                    {n.left_adj.peer, n.right_adj.peer, n.parent.peer},
+                    [&](PeerId p) { return baton_->InOverlay(p); });
 }
 
 bool BatonOverlay::RouteHint(PeerId peer, uint64_t* lo, uint64_t* hi) const {
@@ -89,42 +81,16 @@ void BatonOverlay::CollectFastTable(int levels,
 PeerId BatonOverlay::DoBootstrap() { return baton_->Bootstrap(); }
 
 void BatonOverlay::DoJoin(PeerId contact, OpStats* st) {
-  Result<PeerId> r = baton_->Join(contact);
-  if (!r.ok()) {
-    st->status = r.status();
-    return;
-  }
-  st->peer = r.value();
-  // The joiner's range was split off an existing member: routes covering it
-  // now point at the wrong peer.
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  if (route_cache() != nullptr && RouteHint(st->peer, &lo, &hi)) {
-    CacheInvalidateRange(lo, hi);
-  }
+  Fill(baton_->Join(contact), st);
 }
 
 void BatonOverlay::DoLeave(PeerId leaver, OpStats* st) {
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  const bool hinted =
-      route_cache() != nullptr && RouteHint(leaver, &lo, &hi);
   st->status = baton_->Leave(leaver);
-  if (st->ok()) {
-    if (hinted) CacheInvalidateRange(lo, hi);
-    CacheInvalidatePeer(leaver);
-  }
 }
 
 void BatonOverlay::DoFail(PeerId victim, OpStats* st) {
   (void)st;
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  const bool hinted =
-      route_cache() != nullptr && RouteHint(victim, &lo, &hi);
   baton_->Fail(victim);
-  if (hinted) CacheInvalidateRange(lo, hi);
-  CacheInvalidatePeer(victim);
 }
 
 void BatonOverlay::DoRecoverAllFailures(OpStats* st) {
@@ -140,40 +106,11 @@ void BatonOverlay::DoDelete(PeerId from, Key key, OpStats* st) {
 }
 
 void BatonOverlay::DoExactSearch(PeerId from, Key key, OpStats* st) {
-  auto r = baton_->ExactSearch(from, key);
-  if (!r.ok()) {
-    st->status = r.status();
-    return;
-  }
-  st->peer = r.value().node;
-  st->found = r.value().found;
-  st->hops = r.value().hops;
+  Fill(baton_->ExactSearch(from, key), st);
 }
 
 void BatonOverlay::DoRangeSearch(PeerId from, Key lo, Key hi, OpStats* st) {
-  auto r = baton_->RangeSearch(from, lo, hi);
-  if (!r.ok()) {
-    st->status = r.status();
-    return;
-  }
-  st->nodes = r.value().nodes.size();
-  st->matches = r.value().matches;
-  st->hops = r.value().hops;
-  st->found = r.value().matches > 0;
-}
-
-BatonNetwork& BatonBackend(Overlay& ov) {
-  auto* adapter = dynamic_cast<BatonOverlay*>(&ov);
-  BATON_CHECK(adapter != nullptr)
-      << "overlay '" << ov.name() << "' is not the baton backend";
-  return adapter->baton();
-}
-
-const BatonNetwork& BatonBackend(const Overlay& ov) {
-  const auto* adapter = dynamic_cast<const BatonOverlay*>(&ov);
-  BATON_CHECK(adapter != nullptr)
-      << "overlay '" << ov.name() << "' is not the baton backend";
-  return adapter->baton();
+  Fill(baton_->RangeSearch(from, lo, hi), st);
 }
 
 }  // namespace overlay

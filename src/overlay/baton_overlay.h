@@ -16,8 +16,6 @@ class BatonOverlay : public Overlay {
 
   const std::string& name() const override;
   uint32_t capabilities() const override;
-  net::Network* network() override { return &net_; }
-  const net::Network* network() const override { return &net_; }
 
   size_t size() const override { return baton_->size(); }
   std::vector<PeerId> Members() const override { return baton_->Members(); }
@@ -54,15 +52,18 @@ class BatonOverlay : public Overlay {
   void DoRangeSearch(PeerId from, Key lo, Key hi, OpStats* st) override;
 
  private:
-  net::Network net_;
   std::unique_ptr<BatonNetwork> baton_;
 };
 
 /// Checked downcast to the BATON backend for benches/tests that read
 /// BATON-specific state through the generic interface. CHECK-fails when
 /// `ov` is some other backend.
-BatonNetwork& BatonBackend(Overlay& ov);
-const BatonNetwork& BatonBackend(const Overlay& ov);
+inline BatonNetwork& BatonBackend(Overlay& ov) {
+  return As<BatonOverlay>(ov).baton();
+}
+inline const BatonNetwork& BatonBackend(const Overlay& ov) {
+  return As<BatonOverlay>(ov).baton();
+}
 
 }  // namespace overlay
 }  // namespace baton

@@ -1,12 +1,10 @@
 #include "overlay/chord_overlay.h"
 
-#include "util/check.h"
-
 namespace baton {
 namespace overlay {
 
 ChordOverlay::ChordOverlay(uint64_t seed)
-    : ring_(std::make_unique<chord::ChordNetwork>(&net_, seed)) {}
+    : ring_(std::make_unique<chord::ChordNetwork>(network(), seed)) {}
 
 const std::string& ChordOverlay::name() const {
   static const std::string kName = "chord";
@@ -16,16 +14,8 @@ const std::string& ChordOverlay::name() const {
 PeerId ChordOverlay::RetryOrigin(PeerId origin, int attempt) const {
   const chord::ChordNode& n = ring_->node(origin);
   if (!n.in_ring) return origin;
-  PeerId cand[2];
-  int cnt = 0;
-  for (PeerId p : {n.successor, n.predecessor}) {
-    if (p != kNullPeer && p != origin && ring_->node(p).in_ring &&
-        net_.IsAlive(p)) {
-      cand[cnt++] = p;
-    }
-  }
-  if (cnt == 0) return origin;
-  return cand[(attempt - 1) % cnt];
+  return CycleLinks(origin, attempt, {n.successor, n.predecessor},
+                    [&](PeerId p) { return ring_->node(p).in_ring; });
 }
 
 uint64_t ChordOverlay::RouteCoordOf(Key key) const {
@@ -77,31 +67,11 @@ void ChordOverlay::CollectFastTable(int levels,
 PeerId ChordOverlay::DoBootstrap() { return ring_->Bootstrap(); }
 
 void ChordOverlay::DoJoin(PeerId contact, OpStats* st) {
-  Result<PeerId> r = ring_->Join(contact);
-  if (!r.ok()) {
-    st->status = r.status();
-    return;
-  }
-  st->peer = r.value();
-  // The joiner captured part of its successor's arc: routes covering the
-  // new arc now point at the wrong peer.
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  if (route_cache() != nullptr && RouteHint(st->peer, &lo, &hi)) {
-    CacheInvalidateRange(lo, hi);
-  }
+  Fill(ring_->Join(contact), st);
 }
 
 void ChordOverlay::DoLeave(PeerId leaver, OpStats* st) {
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  const bool hinted =
-      route_cache() != nullptr && RouteHint(leaver, &lo, &hi);
   st->status = ring_->Leave(leaver);
-  if (st->ok()) {
-    if (hinted) CacheInvalidateRange(lo, hi);
-    CacheInvalidatePeer(leaver);
-  }
 }
 
 void ChordOverlay::DoInsert(PeerId from, Key key, OpStats* st) {
@@ -113,28 +83,7 @@ void ChordOverlay::DoDelete(PeerId from, Key key, OpStats* st) {
 }
 
 void ChordOverlay::DoExactSearch(PeerId from, Key key, OpStats* st) {
-  auto r = ring_->Lookup(from, key);
-  if (!r.ok()) {
-    st->status = r.status();
-    return;
-  }
-  st->peer = r.value().node;
-  st->found = r.value().found;
-  st->hops = r.value().hops;
-}
-
-chord::ChordNetwork& ChordBackend(Overlay& ov) {
-  auto* adapter = dynamic_cast<ChordOverlay*>(&ov);
-  BATON_CHECK(adapter != nullptr)
-      << "overlay '" << ov.name() << "' is not the chord backend";
-  return adapter->chord();
-}
-
-const chord::ChordNetwork& ChordBackend(const Overlay& ov) {
-  const auto* adapter = dynamic_cast<const ChordOverlay*>(&ov);
-  BATON_CHECK(adapter != nullptr)
-      << "overlay '" << ov.name() << "' is not the chord backend";
-  return adapter->chord();
+  Fill(ring_->Lookup(from, key), st);
 }
 
 }  // namespace overlay

@@ -20,8 +20,6 @@ class ChordOverlay : public Overlay {
 
   const std::string& name() const override;
   uint32_t capabilities() const override { return 0; }
-  net::Network* network() override { return &net_; }
-  const net::Network* network() const override { return &net_; }
 
   size_t size() const override { return ring_->size(); }
   std::vector<PeerId> Members() const override { return ring_->members(); }
@@ -55,13 +53,8 @@ class ChordOverlay : public Overlay {
   void DoExactSearch(PeerId from, Key key, OpStats* st) override;
 
  private:
-  net::Network net_;
   std::unique_ptr<chord::ChordNetwork> ring_;
 };
-
-/// Checked downcast; CHECK-fails when `ov` is not the chord backend.
-chord::ChordNetwork& ChordBackend(Overlay& ov);
-const chord::ChordNetwork& ChordBackend(const Overlay& ov);
 
 }  // namespace overlay
 }  // namespace baton

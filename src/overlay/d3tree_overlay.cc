@@ -1,12 +1,10 @@
 #include "overlay/d3tree_overlay.h"
 
-#include "util/check.h"
-
 namespace baton {
 namespace overlay {
 
 D3TreeOverlay::D3TreeOverlay(const d3tree::D3Config& cfg, uint64_t seed)
-    : tree_(std::make_unique<d3tree::D3TreeNetwork>(cfg, &net_)) {
+    : tree_(std::make_unique<d3tree::D3TreeNetwork>(cfg, network())) {
   // The D3-Tree protocol is fully deterministic -- no rng to seed. The
   // parameter keeps the factory signature uniform across backends.
   (void)seed;
@@ -20,15 +18,8 @@ const std::string& D3TreeOverlay::name() const {
 PeerId D3TreeOverlay::RetryOrigin(PeerId origin, int attempt) const {
   const d3tree::D3Node& n = tree_->node(origin);
   if (!n.in_overlay) return origin;
-  PeerId cand[2];
-  int cnt = 0;
-  for (PeerId p : {n.left_adj, n.right_adj}) {
-    if (p != kNullPeer && tree_->node(p).in_overlay && net_.IsAlive(p)) {
-      cand[cnt++] = p;
-    }
-  }
-  if (cnt == 0) return origin;
-  return cand[(attempt - 1) % cnt];
+  return CycleLinks(origin, attempt, {n.left_adj, n.right_adj},
+                    [&](PeerId p) { return tree_->node(p).in_overlay; });
 }
 
 bool D3TreeOverlay::RouteHint(PeerId peer, uint64_t* lo,
@@ -71,42 +62,16 @@ void D3TreeOverlay::CollectFastTable(int levels,
 PeerId D3TreeOverlay::DoBootstrap() { return tree_->Bootstrap(); }
 
 void D3TreeOverlay::DoJoin(PeerId contact, OpStats* st) {
-  Result<PeerId> r = tree_->Join(contact);
-  if (!r.ok()) {
-    st->status = r.status();
-    return;
-  }
-  st->peer = r.value();
-  // The joiner's range was carved out of its bucket's partition: routes
-  // covering it now point at the wrong peer.
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  if (route_cache() != nullptr && RouteHint(st->peer, &lo, &hi)) {
-    CacheInvalidateRange(lo, hi);
-  }
+  Fill(tree_->Join(contact), st);
 }
 
 void D3TreeOverlay::DoLeave(PeerId leaver, OpStats* st) {
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  const bool hinted =
-      route_cache() != nullptr && RouteHint(leaver, &lo, &hi);
   st->status = tree_->Leave(leaver);
-  if (st->ok()) {
-    if (hinted) CacheInvalidateRange(lo, hi);
-    CacheInvalidatePeer(leaver);
-  }
 }
 
 void D3TreeOverlay::DoFail(PeerId victim, OpStats* st) {
   (void)st;
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  const bool hinted =
-      route_cache() != nullptr && RouteHint(victim, &lo, &hi);
   tree_->Fail(victim);
-  if (hinted) CacheInvalidateRange(lo, hi);
-  CacheInvalidatePeer(victim);
 }
 
 void D3TreeOverlay::DoRecoverAllFailures(OpStats* st) {
@@ -122,40 +87,11 @@ void D3TreeOverlay::DoDelete(PeerId from, Key key, OpStats* st) {
 }
 
 void D3TreeOverlay::DoExactSearch(PeerId from, Key key, OpStats* st) {
-  auto r = tree_->ExactSearch(from, key);
-  if (!r.ok()) {
-    st->status = r.status();
-    return;
-  }
-  st->peer = r.value().node;
-  st->found = r.value().found;
-  st->hops = r.value().hops;
+  Fill(tree_->ExactSearch(from, key), st);
 }
 
 void D3TreeOverlay::DoRangeSearch(PeerId from, Key lo, Key hi, OpStats* st) {
-  auto r = tree_->RangeSearch(from, lo, hi);
-  if (!r.ok()) {
-    st->status = r.status();
-    return;
-  }
-  st->nodes = r.value().nodes.size();
-  st->matches = r.value().matches;
-  st->hops = r.value().hops;
-  st->found = r.value().matches > 0;
-}
-
-d3tree::D3TreeNetwork& D3TreeBackend(Overlay& ov) {
-  auto* adapter = dynamic_cast<D3TreeOverlay*>(&ov);
-  BATON_CHECK(adapter != nullptr)
-      << "overlay '" << ov.name() << "' is not the d3tree backend";
-  return adapter->d3tree();
-}
-
-const d3tree::D3TreeNetwork& D3TreeBackend(const Overlay& ov) {
-  const auto* adapter = dynamic_cast<const D3TreeOverlay*>(&ov);
-  BATON_CHECK(adapter != nullptr)
-      << "overlay '" << ov.name() << "' is not the d3tree backend";
-  return adapter->d3tree();
+  Fill(tree_->RangeSearch(from, lo, hi), st);
 }
 
 }  // namespace overlay

@@ -22,8 +22,6 @@ class D3TreeOverlay : public Overlay {
   uint32_t capabilities() const override {
     return kRangeSearch | kOrderedGrowth | kLoadBalance | kFailRecovery;
   }
-  net::Network* network() override { return &net_; }
-  const net::Network* network() const override { return &net_; }
 
   size_t size() const override { return tree_->size(); }
   std::vector<PeerId> Members() const override { return tree_->Members(); }
@@ -60,13 +58,16 @@ class D3TreeOverlay : public Overlay {
   void DoRangeSearch(PeerId from, Key lo, Key hi, OpStats* st) override;
 
  private:
-  net::Network net_;
   std::unique_ptr<d3tree::D3TreeNetwork> tree_;
 };
 
 /// Checked downcast; CHECK-fails when `ov` is not the d3tree backend.
-d3tree::D3TreeNetwork& D3TreeBackend(Overlay& ov);
-const d3tree::D3TreeNetwork& D3TreeBackend(const Overlay& ov);
+inline d3tree::D3TreeNetwork& D3TreeBackend(Overlay& ov) {
+  return As<D3TreeOverlay>(ov).d3tree();
+}
+inline const d3tree::D3TreeNetwork& D3TreeBackend(const Overlay& ov) {
+  return As<D3TreeOverlay>(ov).d3tree();
+}
 
 }  // namespace overlay
 }  // namespace baton

@@ -1,13 +1,12 @@
 #include "overlay/multiway_overlay.h"
 
-#include "util/check.h"
-
 namespace baton {
 namespace overlay {
 
 MultiwayOverlay::MultiwayOverlay(const multiway::MultiwayConfig& cfg,
                                  uint64_t seed)
-    : tree_(std::make_unique<multiway::MultiwayNetwork>(cfg, &net_, seed)) {}
+    : tree_(std::make_unique<multiway::MultiwayNetwork>(cfg, network(),
+                                                        seed)) {}
 
 const std::string& MultiwayOverlay::name() const {
   static const std::string kName = "multiway";
@@ -17,15 +16,8 @@ const std::string& MultiwayOverlay::name() const {
 PeerId MultiwayOverlay::RetryOrigin(PeerId origin, int attempt) const {
   const multiway::MultiwayNode& n = tree_->node(origin);
   if (!n.in_overlay) return origin;
-  PeerId cand[3];
-  int cnt = 0;
-  for (PeerId p : {n.left_nb, n.right_nb, n.parent}) {
-    if (p != kNullPeer && tree_->node(p).in_overlay && net_.IsAlive(p)) {
-      cand[cnt++] = p;
-    }
-  }
-  if (cnt == 0) return origin;
-  return cand[(attempt - 1) % cnt];
+  return CycleLinks(origin, attempt, {n.left_nb, n.right_nb, n.parent},
+                    [&](PeerId p) { return tree_->node(p).in_overlay; });
 }
 
 bool MultiwayOverlay::RouteHint(PeerId peer, uint64_t* lo,
@@ -73,31 +65,11 @@ void MultiwayOverlay::CollectFastTable(
 PeerId MultiwayOverlay::DoBootstrap() { return tree_->Bootstrap(); }
 
 void MultiwayOverlay::DoJoin(PeerId contact, OpStats* st) {
-  Result<PeerId> r = tree_->Join(contact);
-  if (!r.ok()) {
-    st->status = r.status();
-    return;
-  }
-  st->peer = r.value();
-  // The joiner's range was split off an existing member: routes covering it
-  // now point at the wrong peer.
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  if (route_cache() != nullptr && RouteHint(st->peer, &lo, &hi)) {
-    CacheInvalidateRange(lo, hi);
-  }
+  Fill(tree_->Join(contact), st);
 }
 
 void MultiwayOverlay::DoLeave(PeerId leaver, OpStats* st) {
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  const bool hinted =
-      route_cache() != nullptr && RouteHint(leaver, &lo, &hi);
   st->status = tree_->Leave(leaver);
-  if (st->ok()) {
-    if (hinted) CacheInvalidateRange(lo, hi);
-    CacheInvalidatePeer(leaver);
-  }
 }
 
 void MultiwayOverlay::DoInsert(PeerId from, Key key, OpStats* st) {
@@ -109,41 +81,12 @@ void MultiwayOverlay::DoDelete(PeerId from, Key key, OpStats* st) {
 }
 
 void MultiwayOverlay::DoExactSearch(PeerId from, Key key, OpStats* st) {
-  auto r = tree_->ExactSearch(from, key);
-  if (!r.ok()) {
-    st->status = r.status();
-    return;
-  }
-  st->peer = r.value().node;
-  st->found = r.value().found;
-  st->hops = r.value().hops;
+  Fill(tree_->ExactSearch(from, key), st);
 }
 
 void MultiwayOverlay::DoRangeSearch(PeerId from, Key lo, Key hi,
                                     OpStats* st) {
-  auto r = tree_->RangeSearch(from, lo, hi);
-  if (!r.ok()) {
-    st->status = r.status();
-    return;
-  }
-  st->nodes = r.value().nodes.size();
-  st->matches = r.value().matches;
-  st->hops = r.value().hops;
-  st->found = r.value().matches > 0;
-}
-
-multiway::MultiwayNetwork& MultiwayBackend(Overlay& ov) {
-  auto* adapter = dynamic_cast<MultiwayOverlay*>(&ov);
-  BATON_CHECK(adapter != nullptr)
-      << "overlay '" << ov.name() << "' is not the multiway backend";
-  return adapter->multiway();
-}
-
-const multiway::MultiwayNetwork& MultiwayBackend(const Overlay& ov) {
-  const auto* adapter = dynamic_cast<const MultiwayOverlay*>(&ov);
-  BATON_CHECK(adapter != nullptr)
-      << "overlay '" << ov.name() << "' is not the multiway backend";
-  return adapter->multiway();
+  Fill(tree_->RangeSearch(from, lo, hi), st);
 }
 
 }  // namespace overlay

@@ -21,8 +21,6 @@ class MultiwayOverlay : public Overlay {
   uint32_t capabilities() const override {
     return kRangeSearch | kOrderedGrowth;
   }
-  net::Network* network() override { return &net_; }
-  const net::Network* network() const override { return &net_; }
 
   size_t size() const override { return tree_->size(); }
   std::vector<PeerId> Members() const override { return tree_->Members(); }
@@ -54,13 +52,16 @@ class MultiwayOverlay : public Overlay {
   void DoRangeSearch(PeerId from, Key lo, Key hi, OpStats* st) override;
 
  private:
-  net::Network net_;
   std::unique_ptr<multiway::MultiwayNetwork> tree_;
 };
 
 /// Checked downcast; CHECK-fails when `ov` is not the multiway backend.
-multiway::MultiwayNetwork& MultiwayBackend(Overlay& ov);
-const multiway::MultiwayNetwork& MultiwayBackend(const Overlay& ov);
+inline multiway::MultiwayNetwork& MultiwayBackend(Overlay& ov) {
+  return As<MultiwayOverlay>(ov).multiway();
+}
+inline const multiway::MultiwayNetwork& MultiwayBackend(const Overlay& ov) {
+  return As<MultiwayOverlay>(ov).multiway();
+}
 
 }  // namespace overlay
 }  // namespace baton

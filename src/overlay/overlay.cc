@@ -140,9 +140,20 @@ PeerId Overlay::RetryOrigin(PeerId origin, int attempt) const {
   return origin;
 }
 
+// Membership operations invalidate inside the measured window, so the
+// cache.invalidate metric is published with the op that caused it.
 OpStats Overlay::Join(PeerId contact) {
   OpStats st = Measured("join", contact, /*retryable=*/false,
-                        [&](PeerId c, OpStats* s) { DoJoin(c, s); });
+                        [&](PeerId c, OpStats* s) {
+    DoJoin(c, s);
+    // The joiner's interval was carved out of an existing member's: routes
+    // covering it now point at the wrong peer.
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+    if (cache_ != nullptr && s->ok() && RouteHint(s->peer, &lo, &hi)) {
+      cache_->InvalidateRange(lo, hi);
+    }
+  });
   // Any membership change outdates the replicated fast-table; every node's
   // mirror refreshes lazily on its next cold lookup.
   if (cache_ != nullptr && st.ok()) cache_->BumpVersion();
@@ -150,15 +161,26 @@ OpStats Overlay::Join(PeerId contact) {
 }
 
 OpStats Overlay::Leave(PeerId leaver) {
-  OpStats st = Measured("leave", kNullPeer, /*retryable=*/false,
-                        [&](PeerId, OpStats* s) { DoLeave(leaver, s); });
-  if (cache_ != nullptr && st.ok()) cache_->BumpVersion();
-  return st;
+  return Departure("leave", leaver, &Overlay::DoLeave);
 }
 
 OpStats Overlay::Fail(PeerId victim) {
-  OpStats st = Measured("fail", kNullPeer, /*retryable=*/false,
-                        [&](PeerId, OpStats* s) { DoFail(victim, s); });
+  return Departure("fail", victim, &Overlay::DoFail);
+}
+
+OpStats Overlay::Departure(const char* op, PeerId peer,
+                           void (Overlay::*depart)(PeerId, OpStats*)) {
+  OpStats st = Measured(op, kNullPeer, /*retryable=*/false,
+                        [&](PeerId, OpStats* s) {
+    // The interval must be read before the peer hands it over.
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+    const bool hinted = cache_ != nullptr && RouteHint(peer, &lo, &hi);
+    (this->*depart)(peer, s);
+    if (cache_ == nullptr || !s->ok()) return;
+    if (hinted) cache_->InvalidateRange(lo, hi);
+    cache_->InvalidatePeer(peer);
+  });
   if (cache_ != nullptr && st.ok()) cache_->BumpVersion();
   return st;
 }
@@ -232,14 +254,6 @@ bool Overlay::CacheLocalAnswer(PeerId owner, Key key, OpStats* st) {
   (void)key;
   (void)st;
   return false;
-}
-
-void Overlay::CacheInvalidatePeer(PeerId owner) {
-  if (cache_ != nullptr) cache_->InvalidatePeer(owner);
-}
-
-void Overlay::CacheInvalidateRange(uint64_t lo, uint64_t hi) {
-  if (cache_ != nullptr) cache_->InvalidateRange(lo, hi);
 }
 
 void Overlay::CacheAwareExact(PeerId from, Key key, OpStats* st) {

@@ -17,7 +17,9 @@
 #define BATON_OVERLAY_OVERLAY_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "baton/types.h"
@@ -25,6 +27,7 @@
 #include "fault/fault.h"
 #include "net/network.h"
 #include "obs/observer.h"
+#include "util/check.h"
 #include "util/status.h"
 
 namespace baton {
@@ -121,11 +124,12 @@ class Overlay {
   virtual uint32_t capabilities() const = 0;
   bool Supports(Capability c) const { return (capabilities() & c) != 0; }
 
-  /// The simulated physical network the backend is wired to (owned by the
-  /// backend). Exposed for liveness queries, per-peer counters, deferred
-  /// updates and type-filtered message accounting.
-  virtual net::Network* network() = 0;
-  virtual const net::Network* network() const = 0;
+  /// The simulated physical network the backend is wired to. The base owns
+  /// it, so it is constructed before and destroyed after any backend an
+  /// adapter builds on it. Exposed for liveness queries, per-peer counters,
+  /// deferred updates and type-filtered message accounting.
+  net::Network* network() { return &net_; }
+  const net::Network* network() const { return &net_; }
 
   /// Attaches the sim/ discrete-event kernel to the backend's network so
   /// every subsequent operation reports its simulated critical-path time in
@@ -167,11 +171,12 @@ class Overlay {
   /// other attachments: per instance, opt-in, non-owning, nullptr
   /// detaches). While attached, exact searches consult the origin's route
   /// cache and the replicated fast-table before walking the protocol, learn
-  /// completed routes, and membership operations invalidate what they move
-  /// (see src/cache/cache.h). Detached (the default) every operation pays
-  /// one null check and all output is byte-identical to a cache-free build.
+  /// completed routes, and a successful join, leave or fail drops the routes
+  /// covering the RouteHint interval that changed owner, plus every route to
+  /// a departed peer (see src/cache/cache.h). Detached (the default) every
+  /// operation pays one null check and all output is byte-identical to a
+  /// cache-free build.
   void AttachCache(cache::Manager* c) { cache_ = c; }
-  cache::Manager* route_cache() const { return cache_; }
 
   /// Resilience budget applied while a fault plan is attached. The default
   /// policy (no retries, no timeout) makes every message loss in a read
@@ -193,8 +198,9 @@ class Overlay {
   virtual uint64_t RouteCoordOf(Key key) const;
   /// Current ownership interval of `peer` in routing-coordinate space,
   /// half-open [lo, hi) with cache::RangeContains conventions (Chord wraps).
-  /// Returns false when the peer is not a live member. This is both the
-  /// fact the route cache learns and the owner-side verification of a hit.
+  /// Returns false when the peer is not a live member. This is the fact the
+  /// route cache learns, the owner-side verification of a hit, and the
+  /// interval membership operations invalidate.
   virtual bool RouteHint(PeerId peer, uint64_t* lo, uint64_t* hi) const;
   /// Snapshot of the top `levels` tree levels (Chord: a 2^levels-arc finger
   /// prefix of the ring) as fast-table regions. Deeper entries win lookups.
@@ -258,14 +264,65 @@ class Overlay {
   /// of via capabilities().
   Status Unsupported(const char* op) const;
 
-  // Invalidation hooks for the backends' membership paths: a leave/fail
-  // drops every route pointing at the departed peer; a join/leave/
-  // restructure that moved ownership of an interval drops the routes
-  // covering it. No-ops when no cache is attached.
-  void CacheInvalidatePeer(PeerId owner);
-  void CacheInvalidateRange(uint64_t lo, uint64_t hi);
+  /// Copy a backend's answer into `st`: its error status, or the joiner
+  /// (Join), the owner and hit bit (exact search), or the node count and
+  /// matches (range search; `found` means at least one match), plus hops.
+  static void Fill(const Result<PeerId>& r, OpStats* st) {
+    if (!r.ok()) {
+      st->status = r.status();
+      return;
+    }
+    st->peer = r.value();
+  }
+  static void Fill(const Result<net::SearchResult>& r, OpStats* st) {
+    if (!r.ok()) {
+      st->status = r.status();
+      return;
+    }
+    st->peer = r.value().node;
+    st->found = r.value().found;
+    st->hops = r.value().hops;
+  }
+  static void Fill(const Result<net::RangeResult>& r, OpStats* st) {
+    if (!r.ok()) {
+      st->status = r.status();
+      return;
+    }
+    st->nodes = r.value().nodes.size();
+    st->matches = r.value().matches;
+    st->hops = r.value().hops;
+    st->found = r.value().matches > 0;
+  }
+
+  /// The retry-origin rule every backend shares: keeps the `links` of
+  /// `origin` that are set, not `origin` itself, members (`is_member(peer)`)
+  /// and alive, and cycles retry `attempt` (1-based) through them in the
+  /// order given. Returns `origin` (retry in place) when none is left.
+  template <typename IsMember>
+  PeerId CycleLinks(PeerId origin, int attempt,
+                    std::initializer_list<PeerId> links,
+                    IsMember&& is_member) const {
+    auto usable = [&](PeerId p) {
+      return p != kNullPeer && p != origin && is_member(p) && net_.IsAlive(p);
+    };
+    int usable_links = 0;
+    for (PeerId p : links) usable_links += usable(p) ? 1 : 0;
+    if (usable_links == 0) return origin;
+    int pick = (attempt - 1) % usable_links;
+    for (PeerId p : links) {
+      if (!usable(p)) continue;
+      if (pick == 0) return p;
+      --pick;
+    }
+    return origin;
+  }
 
  private:
+  /// Leave and Fail: runs `depart` (DoLeave or DoFail) on `peer` inside the
+  /// measured window and, when it succeeds, drops the routes covering the
+  /// peer's former interval and every route to the peer.
+  OpStats Departure(const char* op, PeerId peer,
+                    void (Overlay::*depart)(PeerId, OpStats*));
   /// The measured wrapper: message count, obs span, fault op tick and the
   /// attempt loop. `retryable` marks read operations (safe to re-issue);
   /// `origin` is the peer the operation starts from (kNullPeer for
@@ -286,10 +343,29 @@ class Overlay {
   /// metrics and refreshes the hit-rate gauge.
   void PublishCacheMetrics(const cache::Stats& before);
 
+  net::Network net_;
   obs::Observer* obs_ = nullptr;
   cache::Manager* cache_ = nullptr;
   fault::Policy resilience_;
 };
+
+/// Checked downcast from the generic interface to one backend's adapter,
+/// for benches and tests that read backend-specific state. CHECK-fails when
+/// `ov` is some other backend.
+template <class Adapter>
+Adapter& As(Overlay& ov) {
+  auto* adapter = dynamic_cast<Adapter*>(&ov);
+  BATON_CHECK(adapter != nullptr) << "overlay '" << ov.name()
+                                  << "' is not a " << typeid(Adapter).name();
+  return *adapter;
+}
+template <class Adapter>
+const Adapter& As(const Overlay& ov) {
+  const auto* adapter = dynamic_cast<const Adapter*>(&ov);
+  BATON_CHECK(adapter != nullptr) << "overlay '" << ov.name()
+                                  << "' is not a " << typeid(Adapter).name();
+  return *adapter;
+}
 
 }  // namespace overlay
 }  // namespace baton

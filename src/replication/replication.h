@@ -36,13 +36,6 @@ namespace replication {
 struct ReplicationConfig {
   /// Number of replica holders per node (r). 0 disables replication.
   int factor = 0;
-  /// Draw holders from the primary's adjacent (in-order neighbour) links
-  /// first: their ranges border the primary's, so a restored range stays
-  /// local to the region that inherits it.
-  bool use_adjacents = true;
-  /// Also draw from vertical links and sideways routing-table neighbours
-  /// (needed to reach factor > 2, and when adjacents are dead).
-  bool use_routing_neighbours = true;
   /// Push every single-key mutation to all live holders immediately (one
   /// kReplicaPush per holder per mutation). When false, mutations only bump
   /// the primary's version and replicas go stale until the next bulk sync or

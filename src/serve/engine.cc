@@ -12,7 +12,6 @@ namespace serve {
 
 using workload::AppliedOp;
 using workload::Op;
-using workload::OpType;
 
 namespace {
 
@@ -144,28 +143,11 @@ void Engine::RunState::Loop(Arrivals* arrivals) {
 
 bool Engine::RunState::Admit(size_t i) {
   const Op& op = trace[i];
-  workload::OpAggregate* agg = &res.replay.per_op[static_cast<size_t>(op.type)];
   trail->Clear();
-  AppliedOp applied = workload::ApplyOp(ov, op, op_rng, members, cfg.replay);
-  switch (applied.disposition) {
-    case AppliedOp::Disposition::kSkipped:
-      ++agg->skipped;
-      return false;
-    case AppliedOp::Disposition::kUnsupported:
-      ++agg->unsupported;
-      return false;
-    case AppliedOp::Disposition::kExecuted:
-      break;
-  }
-  agg->Accumulate(applied.stats);
-  res.replay.total_messages += applied.stats.messages;
-  res.replay.total_latency += applied.stats.latency_ticks;
-  if (cfg.replay.record_answers) {
-    if (op.type == OpType::kExact) {
-      res.replay.exact_found.push_back(applied.stats.found);
-    } else if (op.type == OpType::kRange) {
-      res.replay.range_matches.push_back(applied.stats.matches);
-    }
+  const AppliedOp applied =
+      workload::ApplyOp(ov, op, op_rng, members, cfg.replay);
+  if (!res.replay.Record(op, applied, cfg.replay.record_answers)) {
+    return false;
   }
   ++res.admitted;
 

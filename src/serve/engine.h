@@ -132,13 +132,6 @@ struct EngineResult {
   uint64_t max_node_served = 0;   // busiest node's serviced-message count
   uint64_t peak_queue_depth = 0;  // deepest backlog any node ever reached
   uint64_t total_service_ticks = 0;
-
-  /// Completed ops per 1000 virtual ticks (0 for an empty run).
-  double ThroughputPerKilotick() const {
-    return makespan == 0 ? 0.0
-                         : 1000.0 * static_cast<double>(completed) /
-                               static_cast<double>(makespan);
-  }
 };
 
 class Engine {

@@ -168,30 +168,35 @@ ReplayResult Replay(overlay::Overlay& ov, const Trace& trace, Rng* rng,
       << "Replay needs a bootstrapped overlay with at least one member";
   ReplayResult res;
   for (const Op& op : trace) {
-    OpAggregate* agg = &res.per_op[static_cast<size_t>(op.type)];
-    AppliedOp applied = ApplyOp(ov, op, rng, members, opts);
-    switch (applied.disposition) {
-      case AppliedOp::Disposition::kSkipped:
-        ++agg->skipped;
-        break;
-      case AppliedOp::Disposition::kUnsupported:
-        ++agg->unsupported;
-        break;
-      case AppliedOp::Disposition::kExecuted:
-        agg->Accumulate(applied.stats);
-        res.total_messages += applied.stats.messages;
-        res.total_latency += applied.stats.latency_ticks;
-        if (opts.record_answers) {
-          if (op.type == OpType::kExact) {
-            res.exact_found.push_back(applied.stats.found);
-          } else if (op.type == OpType::kRange) {
-            res.range_matches.push_back(applied.stats.matches);
-          }
-        }
-        break;
-    }
+    res.Record(op, ApplyOp(ov, op, rng, members, opts), opts.record_answers);
   }
   return res;
+}
+
+bool ReplayResult::Record(const Op& op, const AppliedOp& applied,
+                          bool record_answers) {
+  OpAggregate* agg = &per_op[static_cast<size_t>(op.type)];
+  switch (applied.disposition) {
+    case AppliedOp::Disposition::kSkipped:
+      ++agg->skipped;
+      return false;
+    case AppliedOp::Disposition::kUnsupported:
+      ++agg->unsupported;
+      return false;
+    case AppliedOp::Disposition::kExecuted:
+      break;
+  }
+  agg->Accumulate(applied.stats);
+  total_messages += applied.stats.messages;
+  total_latency += applied.stats.latency_ticks;
+  if (record_answers) {
+    if (op.type == OpType::kExact) {
+      exact_found.push_back(applied.stats.found);
+    } else if (op.type == OpType::kRange) {
+      range_matches.push_back(applied.stats.matches);
+    }
+  }
+  return true;
 }
 
 }  // namespace workload

@@ -63,9 +63,8 @@ struct OpAggregate {
   obs::LogHistogram latency_hist;
 
   /// Folds one executed op's stats into the aggregate (counts, totals and
-  /// histograms; negative hops sentinels clamp to 0). Callers that track
-  /// trace-wide totals (Replay, the serving engine) add messages/latency to
-  /// those themselves.
+  /// histograms; negative hops sentinels clamp to 0). ReplayResult::Record
+  /// also adds messages/latency to the trace-wide totals.
   void Accumulate(const overlay::OpStats& st);
 
   /// Combines another aggregate into this one (cross-seed bench rollups).
@@ -93,6 +92,8 @@ struct OpAggregate {
   }
 };
 
+struct AppliedOp;
+
 struct ReplayResult {
   std::array<OpAggregate, kNumOpTypes> per_op{};
   uint64_t total_messages = 0;  // sum of OpStats::messages over the trace
@@ -108,6 +109,12 @@ struct ReplayResult {
   const OpAggregate& of(OpType t) const {
     return per_op[static_cast<size_t>(t)];
   }
+
+  /// Books one op that went through ApplyOp: its disposition into the op
+  /// type's aggregate, an executed op's stats into the aggregate and the
+  /// totals, and (with `record_answers`) its answer. Returns whether the op
+  /// executed. Replay and the serving engine share this bookkeeping.
+  bool Record(const Op& op, const AppliedOp& applied, bool record_answers);
 };
 
 /// Outcome of driving one trace op through an overlay via ApplyOp.

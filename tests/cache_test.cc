@@ -3,7 +3,8 @@
 // capacity bound, invalidation), and the overlay-level contract on every
 // registered backend -- cached answers identical to uncached ones, exact
 // message accounting, stale routes repaired after leave/fail churn,
-// deterministic hit sequences, and byte-identical behaviour once detached.
+// membership ops invalidating inside their own op, deterministic hit
+// sequences, and byte-identical behaviour once detached.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "cache/cache.h"
+#include "obs/observer.h"
 #include "overlay/baton_overlay.h"
 #include "overlay/chord_overlay.h"
 #include "overlay/registry.h"
@@ -235,6 +237,106 @@ TEST(CacheOverlay, StaleRoutesRepairedAfterLeaveAndFail) {
     EXPECT_GT(mgr.stats().invalidations + mgr.stats().stale, 0u)
         << "churn should have invalidated or refuted something";
     b.ov->CheckInvariants();
+  }
+}
+
+/// A route the warm cache holds: `origin` remembers `owner` (not itself) as
+/// the owner of `key`'s routing coordinate.
+struct WarmRoute {
+  net::PeerId origin = net::kNullPeer;
+  Key key = 0;
+  net::PeerId owner = net::kNullPeer;
+};
+
+WarmRoute FindWarmRoute(const Built& b, cache::Manager* mgr,
+                        const std::vector<Key>& keys) {
+  for (net::PeerId o : b.members) {
+    for (Key k : keys) {
+      cache::RouteEntry e;
+      if (mgr->Lookup(o, b.ov->RouteCoordOf(k), &e) >= 0 && e.owner != o) {
+        return {o, k, e.owner};
+      }
+    }
+  }
+  return {};
+}
+
+// Join, leave and fail drop the routes they outdate inside their own
+// measured op: cache.invalidate is published with the op that caused it, a
+// warm route to a departed owner is gone before the next lookup (not
+// refuted by a wasted probe), and no route survives inside a joiner's new
+// interval.
+TEST(CacheOverlay, MembershipOpsInvalidateInsideTheirOwnOp) {
+  for (const std::string& name : overlay::RegisteredNames()) {
+    SCOPED_TRACE(name);
+    std::vector<Key> keys = SomeKeys(43, 60);
+    {
+      cache::Manager mgr;
+      obs::Observer obs;  // metrics only
+      auto b = Grow(name, 64, 43);
+      b.ov->AttachCache(&mgr);
+      b.ov->AttachObserver(&obs);
+      const bool can_fail = b.ov->Supports(Capability::kFailRecovery);
+      auto billed = [&] {
+        return obs.metrics().CounterValue(cache::kMetricInvalidations);
+      };
+      Rng rng(Mix64(43 ^ 0xc4a7));
+      for (uint64_t round = 0; round < 6; ++round) {
+        Answers(&b, keys, 43 + round);  // (re)warm
+        OpStats j = b.ov->Join(b.members[rng.NextBelow(b.members.size())]);
+        ASSERT_TRUE(j.ok()) << j.status.ToString();
+        EXPECT_EQ(billed(), mgr.stats().invalidations);
+        b.members = b.ov->Members();
+        uint64_t lo = 0;
+        uint64_t hi = 0;
+        if (b.ov->RouteHint(j.peer, &lo, &hi)) {
+          for (net::PeerId o : b.members) {
+            cache::RouteEntry e;
+            EXPECT_EQ(mgr.Lookup(o, lo, &e), -1) << "origin " << o;
+          }
+        }
+        Answers(&b, keys, 53 + round);
+        OpStats l = b.ov->Leave(b.members[rng.NextBelow(b.members.size())]);
+        ASSERT_TRUE(l.ok()) << l.status.ToString();
+        EXPECT_EQ(billed(), mgr.stats().invalidations);
+        b.members = b.ov->Members();
+        if (!can_fail) continue;
+        Answers(&b, keys, 63 + round);
+        OpStats f = b.ov->Fail(b.members[rng.NextBelow(b.members.size())]);
+        ASSERT_TRUE(f.ok()) << f.status.ToString();
+        EXPECT_EQ(billed(), mgr.stats().invalidations);
+        ASSERT_TRUE(b.ov->RecoverAllFailures().ok());
+        b.members = b.ov->Members();
+      }
+      EXPECT_GT(mgr.stats().invalidations, 0u);
+      b.ov->AttachObserver(nullptr);
+      b.ov->AttachCache(nullptr);
+    }
+    // Leave, and where supported fail + recover, of a warm route's owner.
+    for (bool fail : {false, true}) {
+      SCOPED_TRACE(fail ? "fail" : "leave");
+      cache::Manager mgr;
+      auto b = Grow(name, 64, 47);
+      if (fail && !b.ov->Supports(Capability::kFailRecovery)) continue;
+      b.ov->AttachCache(&mgr);
+      Answers(&b, keys, 47);
+      const WarmRoute r = FindWarmRoute(b, &mgr, keys);
+      ASSERT_NE(r.origin, net::kNullPeer) << "warm pass learned no route";
+      if (fail) {
+        ASSERT_TRUE(b.ov->Fail(r.owner).ok());
+        ASSERT_TRUE(b.ov->RecoverAllFailures().ok());
+      } else {
+        ASSERT_TRUE(b.ov->Leave(r.owner).ok());
+      }
+      OpStats cached = b.ov->ExactSearch(r.origin, r.key);
+      b.ov->AttachCache(nullptr);
+      OpStats plain = b.ov->ExactSearch(r.origin, r.key);
+      ASSERT_TRUE(cached.ok()) << cached.status.ToString();
+      ASSERT_TRUE(plain.ok()) << plain.status.ToString();
+      EXPECT_EQ(cached.cache_stale, 0);
+      EXPECT_EQ(cached.peer, plain.peer);
+      EXPECT_EQ(cached.found, plain.found);
+    }
   }
 }
 

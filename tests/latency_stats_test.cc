@@ -207,15 +207,13 @@ TEST(ReplayLatency, AggregatesMatchPerOpTotals) {
 // failing backend might; only the pieces Replay touches are implemented.
 class NegativeHopsOverlay : public Overlay {
  public:
-  NegativeHopsOverlay() { net_.Register(); }
+  NegativeHopsOverlay() { network()->Register(); }
 
   const std::string& name() const override {
     static const std::string kName = "negative-hops-stub";
     return kName;
   }
   uint32_t capabilities() const override { return 0; }
-  net::Network* network() override { return &net_; }
-  const net::Network* network() const override { return &net_; }
   size_t size() const override { return 1; }
   std::vector<net::PeerId> Members() const override { return {0}; }
   uint64_t total_keys() const override { return 0; }
@@ -231,9 +229,6 @@ class NegativeHopsOverlay : public Overlay {
   void DoExactSearch(net::PeerId, Key, OpStats* st) override {
     st->hops = -1;  // "no route" sentinel
   }
-
- private:
-  net::Network net_;
 };
 
 TEST(ReplayLatency, NegativeHopSentinelsAreClampedNotWrapped) {

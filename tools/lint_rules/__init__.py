@@ -93,6 +93,7 @@ from . import include_layering   # noqa: E402
 from . import no_const_cast      # noqa: E402
 from . import check_side_effects  # noqa: E402
 from . import check_float_format  # noqa: E402
+from . import adapter_surface    # noqa: E402
 
 ALL_RULES = [
     nondeterminism,
@@ -103,4 +104,5 @@ ALL_RULES = [
     no_const_cast,
     check_side_effects,
     check_float_format,
+    adapter_surface,
 ]

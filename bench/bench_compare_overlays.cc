@@ -15,7 +15,7 @@
 // samples are aggregated sequentially in task order afterwards, making the
 // output byte-identical to a --threads=1 run.
 //
-// With --latency=const:N|uniform:LO,HI the sim/ event kernel is attached
+// With --latency=const:N|uniform:LO,HI a sim/ latency model is attached
 // and the search/range latency columns report simulated critical-path ticks
 // (0 when no model is given; the message/hop columns are unaffected).
 //
@@ -66,7 +66,7 @@ SeedSample RunSeed(const std::string& name, size_t n, int s,
 
   Instance inst = BuildPreloaded(name, n, seed, opt.keys_per_node, &keys);
 
-  // Attach the sim kernel and observer after the build: the replayed ops
+  // Attach the latency model and observer after the build: the replayed ops
   // below are timed and traced, construction is not (and the protocol rng
   // streams are untouched either way). With neither --trace nor --metrics
   // the overlay runs with a null observer (no per-message work at all).

@@ -3,8 +3,8 @@
 // which "cannot distinguish a sequential 10-hop search from a 10-way
 // parallel fan-out").
 //
-// Per backend and size the bench builds the overlay, attaches the sim/
-// event kernel, and measures exact searches plus 0.1%-selectivity range
+// Per backend and size the bench builds the overlay, attaches a sim/
+// latency model, and measures exact searches plus 0.1%-selectivity range
 // queries. Columns:
 //   exact_hops / exact_lat   routing hops and critical-path ticks per exact
 //                            search (equal under --latency=const:1: exact
@@ -19,7 +19,7 @@
 // The latency model defaults to const:1 so ticks read as "sequential hop
 // equivalents"; pass --latency=uniform:LO,HI for jittered links. Every
 // (backend, N, seed) run is an independent task (own Instance, network and
-// sim kernel), so --threads=N runs them on a worker pool; per-query samples
+// clock), so --threads=N runs them on a worker pool; per-query samples
 // are aggregated in task order afterwards, keeping the output
 // byte-identical to a sequential run.
 //

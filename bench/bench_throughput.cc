@@ -130,7 +130,6 @@ SeedResult RunSeed(const std::string& name, size_t n, int s,
 
   serve::EngineConfig ecfg;
   ecfg.service_ticks = serve.service_ticks;
-  ecfg.hop_latency = 1;
   ecfg.max_queue = serve.max_queue;
   ecfg.timeout_ticks = serve.timeout_ticks;
   // --stragglers=K:F marks K members (picked deterministically per seed) as

@@ -1,16 +1,17 @@
-// Event-driven latency study: attaches the discrete-event kernel (src/sim)
+// Latency study: attaches a link-latency model and a sim::Clock (src/sim)
 // to the overlay's network so hop counts become simulated wall-clock
-// latencies. Query arrivals are scheduled on one event queue; a second
-// queue, attached via net::Network::AttachSim, timestamps every message the
+// latencies. Queries are issued from a precomputed arrival schedule; the
+// network, via net::Network::AttachSim, timestamps every message the
 // protocol sends and yields each query's critical-path time (sequential
 // hops add, parallel fan-out takes the max over branches). The run reports
 // the latency distribution alongside the message counts the paper plots.
 //
 //   $ ./examples/event_driven_sim
 #include <cstdio>
+#include <vector>
 
 #include "baton/baton.h"
-#include "sim/event_queue.h"
+#include "sim/clock.h"
 #include "sim/latency.h"
 #include "util/histogram.h"
 
@@ -33,36 +34,36 @@ int main() {
   // Wide-area-ish links: 20-80 ms per hop. Attached after the build so only
   // the queries below are timed.
   sim::UniformLatency link(20, 80);
-  sim::EventQueue deliveries;  // link-level kernel behind Network::Count
-  net.AttachSim(&deliveries, &link, /*seed=*/11);
+  sim::Clock clock;  // moved to each query's completion by the network
+  net.AttachSim(&clock, &link, /*seed=*/11);
 
-  sim::EventQueue arrivals;  // workload-level clock: when queries are issued
-  Histogram latency_ms;
-  Histogram hops_hist;
-
-  // Poisson-ish arrivals: one query every ~5 ms for 2000 queries.
+  // Poisson-ish arrivals: one query every ~5 ms for 2000 queries. The
+  // whole schedule is drawn before the first query runs.
+  std::vector<sim::Time> arrivals;
   sim::Time t = 0;
   for (int q = 0; q < 2000; ++q) {
     t += rng.NextBelow(10) + 1;
-    arrivals.ScheduleAt(t, [&overlay, &net, &rng, &link, &latency_ms,
-                            &hops_hist, &peers] {
-      PeerId from = peers[rng.NextBelow(peers.size())];
-      Key k = rng.UniformInt(1, 999999999);
-      net.BeginOpWindow();
-      auto r = overlay.ExactSearch(from, k);
-      sim::Time total = net.EndOpWindow();  // critical path of the routing
-      if (!r.ok()) return;
-      hops_hist.Add(r.value().hops);
-      // The answer itself travels one (long) path back to the origin.
-      total += link.Sample(&rng);
-      latency_ms.Add(static_cast<int64_t>(total));
-    });
+    arrivals.push_back(t);
   }
-  arrivals.RunUntilIdle();
+
+  Histogram latency_ms;
+  Histogram hops_hist;
+  for (size_t q = 0; q < arrivals.size(); ++q) {
+    PeerId from = peers[rng.NextBelow(peers.size())];
+    Key k = rng.UniformInt(1, 999999999);
+    net.BeginOpWindow();
+    auto r = overlay.ExactSearch(from, k);
+    sim::Time total = net.EndOpWindow();  // critical path of the routing
+    if (!r.ok()) continue;
+    hops_hist.Add(r.value().hops);
+    // The answer itself travels one (long) path back to the origin.
+    total += link.Sample(&rng);
+    latency_ms.Add(static_cast<int64_t>(total));
+  }
 
   std::printf("%llu queries over %llu virtual ms\n",
               static_cast<unsigned long long>(latency_ms.total_count()),
-              static_cast<unsigned long long>(arrivals.now()));
+              static_cast<unsigned long long>(arrivals.back()));
   std::printf("hops:    mean %.2f  p50 %lld  p99 %lld\n", hops_hist.Mean(),
               static_cast<long long>(hops_hist.Percentile(0.5)),
               static_cast<long long>(hops_hist.Percentile(0.99)));

@@ -13,7 +13,7 @@
 #include "obs/observer.h"
 #include "obs/trace.h"
 #include "overlay/registry.h"
-#include "sim/event_queue.h"
+#include "sim/clock.h"
 #include "sim/latency.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -36,12 +36,12 @@ int main() {
   }
 
   // Attach AFTER the build, exactly like AttachLatency: only the workload
-  // below is observed. The sim kernel gives the trace real (simulated)
-  // timestamps; without it, ticks fall back to the global message index,
-  // which is still causally ordered.
-  sim::EventQueue queue;
+  // below is observed. The latency model and clock give the trace real
+  // (simulated) timestamps; without them, ticks fall back to the global
+  // message index, which is still causally ordered.
+  sim::Clock clock;
   sim::UniformLatency link(5, 20);
-  overlay->AttachLatency(&queue, &link, /*seed=*/7);
+  overlay->AttachLatency(&clock, &link, /*seed=*/7);
   obs::Observer observer(/*tracing=*/true);
   overlay->AttachObserver(&observer);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
-
 namespace baton {
 
 BatonNetwork::BatonNetwork(const BatonConfig& config, net::Network* net,

@@ -42,7 +42,7 @@ struct BatonConfig {
 
   /// Load balancing (section IV-D). A node is overloaded when it stores more
   /// than the effective threshold; a recruit candidate is "lightly loaded"
-  /// when it stores fewer than threshold * underload_fraction keys.
+  /// when it stores fewer than a quarter of the threshold.
   ///
   /// The threshold is either absolute (overload_threshold) or, when
   /// overload_factor > 0, adaptive: factor x the current network-average
@@ -52,7 +52,6 @@ struct BatonConfig {
   bool enable_load_balance = false;
   size_t overload_threshold = SIZE_MAX;
   double overload_factor = 0.0;
-  double underload_fraction = 0.25;
   /// Ablation switch: with remote recruiting off, overloaded leaves fall
   /// back to adjacent-node balancing only ("data migration may ripple
   /// through the network ... and incur high total overhead").

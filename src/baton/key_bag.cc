@@ -109,16 +109,6 @@ KeyBag KeyBag::ExtractAtLeast(Key pivot) {
   return ExtractSuffix(static_cast<size_t>(split - sorted_.begin()));
 }
 
-KeyBag KeyBag::ExtractLowest(size_t count) {
-  Flush();
-  return ExtractPrefix(std::min(count, sorted_.size()));
-}
-
-KeyBag KeyBag::ExtractHighest(size_t count) {
-  Flush();
-  return ExtractSuffix(sorted_.size() - std::min(count, sorted_.size()));
-}
-
 void KeyBag::Absorb(KeyBag* other) {
   // Both sides are sorted after their flushes: merge directly instead of
   // dumping `other` into pending_ and re-sorting keys that were already in

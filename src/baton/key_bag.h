@@ -34,10 +34,6 @@ class KeyBag {
   KeyBag ExtractBelow(Key pivot);
   /// Removes and returns all keys >= pivot.
   KeyBag ExtractAtLeast(Key pivot);
-  /// Removes and returns the `count` smallest keys.
-  KeyBag ExtractLowest(size_t count);
-  /// Removes and returns the `count` largest keys.
-  KeyBag ExtractHighest(size_t count);
 
   /// Moves all keys from `other` into this bag (other becomes empty).
   void Absorb(KeyBag* other);

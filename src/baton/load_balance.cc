@@ -13,6 +13,13 @@
 #include "baton/baton_network.h"
 
 namespace baton {
+namespace {
+
+/// A recruit candidate is "lightly loaded" below this fraction of the
+/// effective overload threshold.
+constexpr double kUnderloadFraction = 0.25;
+
+}  // namespace
 
 size_t BatonNetwork::EffectiveOverloadThreshold() const {
   if (config_.overload_factor > 0.0) {
@@ -109,7 +116,7 @@ bool BatonNetwork::TryRemoteRecruit(BatonNode* v) {
   if (v->range.Width() < 2) return false;
   size_t light_cap =
       static_cast<size_t>(static_cast<double>(EffectiveOverloadThreshold()) *
-                          config_.underload_fraction);
+                          kUnderloadFraction);
 
   // 1. Probe sideways neighbours for a lightly loaded leaf ("our practical
   //    experience suggests that the neighbor tables suffice").

@@ -542,9 +542,9 @@ FlagGroup CacheFlags::Flags() {
 
 void Attach(Instance* inst, const Options& opt, uint64_t seed) {
   if (opt.latency.enabled()) {
-    inst->queue = std::make_unique<sim::EventQueue>();
+    inst->clock = std::make_unique<sim::Clock>();
     inst->latency = MakeLatencyModel(opt.latency);
-    inst->overlay->AttachLatency(inst->queue.get(), inst->latency.get(),
+    inst->overlay->AttachLatency(inst->clock.get(), inst->latency.get(),
                                  Mix64(seed ^ 0x11c0));
   }
   if (!opt.trace_path.empty() || !opt.metrics_path.empty()) {

@@ -28,7 +28,7 @@ namespace baton {
 namespace bench {
 
 /// Link-latency model selected with --latency=const:N|uniform:LO,HI. With
-/// Kind::kNone no sim kernel is attached at all: OpStats::latency_ticks
+/// Kind::kNone no latency model is attached at all: OpStats::latency_ticks
 /// stays 0 and every bench table is byte-identical to a build without sim
 /// support.
 struct LatencySpec {
@@ -73,8 +73,8 @@ struct Options {
   int threads = 1;
   /// Backends selected with --overlay=...; empty means "all registered".
   std::vector<std::string> overlays;
-  /// Link latency model from --latency=...; Kind::kNone leaves the sim
-  /// kernel detached.
+  /// Link latency model from --latency=...; Kind::kNone leaves the network
+  /// untimed.
   LatencySpec latency;
   /// --json=PATH: mirror every Emit'd table into PATH as a JSON array of
   /// row objects (see SetJsonMirror). Empty = no mirror.
@@ -278,9 +278,9 @@ struct Instance {
   std::unique_ptr<overlay::Overlay> overlay;
   std::vector<net::PeerId> members;
 
-  /// Sim kernel driving OpStats::latency_ticks; set by Attach under
-  /// --latency (null otherwise, and the overlay runs untimed).
-  std::unique_ptr<sim::EventQueue> queue;
+  /// Clock and latency model driving OpStats::latency_ticks; set by Attach
+  /// under --latency (null otherwise, and the overlay runs untimed).
+  std::unique_ptr<sim::Clock> clock;
   std::unique_ptr<sim::LatencyModel> latency;
 
   /// Observability collector; set by Attach under --trace/--metrics (null
@@ -291,7 +291,7 @@ struct Instance {
   net::Network* net() { return overlay->network(); }
 };
 
-/// Attaches what `opt` asks for, owned by the instance: a sim/ event kernel
+/// Attaches what `opt` asks for, owned by the instance: a latency model
 /// under --latency (subsequent operations fill OpStats::latency_ticks; its
 /// sampling rng is seeded from `seed` independently of every protocol rng,
 /// so message counts and protocol decisions are unaffected), and an

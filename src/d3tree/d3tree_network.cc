@@ -11,7 +11,6 @@ D3TreeNetwork::D3TreeNetwork(const D3Config& config, net::Network* net)
     : config_(config), net_(net) {
   BATON_CHECK(net != nullptr);
   BATON_CHECK_LT(config.domain_lo, config.domain_hi);
-  BATON_CHECK_GE(config.max_hops_factor, 1);
 }
 
 D3Node* D3TreeNetwork::N(PeerId p) {

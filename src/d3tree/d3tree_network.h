@@ -53,10 +53,6 @@ struct D3Config {
   /// gossiped estimate; the simulator reads it directly (same convention as
   /// BATON's adaptive overload threshold).
   size_t bucket_target = 0;
-
-  /// Safety net: routing aborts (Status::Exhausted) after
-  /// max_hops_factor * (ceil(log2 N) + 4) hops.
-  int max_hops_factor = 16;
 };
 
 /// One peer. Peers own a contiguous key range and link only to their two

@@ -11,6 +11,13 @@
 
 namespace baton {
 namespace d3tree {
+namespace {
+
+/// Safety net: routing aborts (Status::Exhausted) after
+/// kMaxHopsFactor * (ceil(log2 N) + 4) hops.
+constexpr int kMaxHopsFactor = 16;
+
+}  // namespace
 
 PeerId D3TreeNetwork::OwnerInBucket(const D3Bucket* b, Key key) const {
   const std::vector<PeerId>& ms = b->members;
@@ -42,7 +49,7 @@ Result<D3TreeNetwork::RouteOutcome> D3TreeNetwork::RouteToKey(
     res.node = from;
     return res;
   }
-  int guard = config_.max_hops_factor * (CeilLog2Size() + 4);
+  int guard = kMaxHopsFactor * (CeilLog2Size() + 4);
 
   BucketId cur = N(from)->bucket;
   PeerId at = from;

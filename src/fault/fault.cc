@@ -1,7 +1,5 @@
 #include "fault/fault.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace baton {
@@ -12,78 +10,24 @@ constexpr int kNumCategories = static_cast<int>(net::MsgCategory::kOther) + 1;
 }  // namespace
 
 Plan::Plan(const PlanConfig& cfg)
-    : cfg_(cfg),
-      by_category_(kNumCategories),
-      has_category_(kNumCategories, false),
+    : by_category_(kNumCategories, cfg.all),
       rng_(Mix64(cfg.seed ^ 0xfa017135eedULL)) {
   BATON_CHECK(cfg.all.drop >= 0 && cfg.all.drop <= 1.0);
   BATON_CHECK(cfg.all.duplicate >= 0 && cfg.all.duplicate <= 1.0);
-  BATON_CHECK(cfg.all.delay >= 0 && cfg.all.delay <= 1.0);
 }
 
 void Plan::SetCategoryFaults(net::MsgCategory c, const LinkFaults& f) {
   size_t i = static_cast<size_t>(c);
   BATON_CHECK_LT(i, by_category_.size());
   by_category_[i] = f;
-  has_category_[i] = true;
 }
 
-void Plan::SetPeerFaults(net::PeerId p, const LinkFaults& f) {
-  per_peer_.GetOrInsert(p) = f;
-}
-
-void Plan::AddStall(net::PeerId p, uint64_t begin_op, uint64_t end_op) {
-  BATON_CHECK_LT(begin_op, end_op);
-  stalls_.GetOrInsert(p).push_back(Window{begin_op, end_op});
-  windowed_ = true;
-}
-
-void Plan::AddOutage(const std::vector<net::PeerId>& peers, uint64_t begin_op,
-                     uint64_t end_op) {
-  BATON_CHECK_LT(begin_op, end_op);
-  BATON_CHECK(!peers.empty());
-  Outage o;
-  o.window = Window{begin_op, end_op};
-  o.peers = peers;
-  std::sort(o.peers.begin(), o.peers.end());
-  outages_.push_back(std::move(o));
-  windowed_ = true;
-}
-
-const LinkFaults& Plan::FaultsFor(net::PeerId from, net::PeerId to,
-                                  net::MsgCategory cat) const {
-  if (!per_peer_.empty()) {
-    // Either endpoint's override claims the message; `to` wins when both
-    // have one (fixed order keeps the schedule deterministic).
-    if (const LinkFaults* f = per_peer_.Find(to)) return *f;
-    if (const LinkFaults* f = per_peer_.Find(from)) return *f;
-  }
-  size_t c = static_cast<size_t>(cat);
-  if (has_category_[c]) return by_category_[c];
-  return cfg_.all;
-}
-
-bool Plan::Stalled(net::PeerId p) const {
-  const std::vector<Window>* w = stalls_.Find(p);
-  if (w == nullptr) return false;
-  for (const Window& win : *w) {
-    if (win.Active(current_op())) return true;
-  }
-  return false;
-}
-
-bool Plan::InOutage(net::PeerId p) const {
-  for (const Outage& o : outages_) {
-    if (!o.window.Active(current_op())) continue;
-    if (std::binary_search(o.peers.begin(), o.peers.end(), p)) return true;
-  }
-  return false;
-}
-
-net::FaultInjector::Decision Plan::OnMessage(net::PeerId from, net::PeerId to,
+net::FaultInjector::Decision Plan::OnMessage(net::PeerId /*from*/,
+                                             net::PeerId /*to*/,
                                              net::MsgType type) {
   Decision d;
-  const LinkFaults& lf = FaultsFor(from, to, net::CategoryOf(type));
+  const LinkFaults& lf =
+      by_category_[static_cast<size_t>(net::CategoryOf(type))];
   // Coins are drawn lazily (a zero probability consumes no rng state), so
   // an all-zero plan leaves the schedule empty; determinism only requires
   // identical config + seed + message sequence, which callers guarantee.
@@ -94,23 +38,6 @@ net::FaultInjector::Decision Plan::OnMessage(net::PeerId from, net::PeerId to,
   if (lf.duplicate > 0 && rng_.NextBool(lf.duplicate)) {
     d.duplicates = 1;
     ++duplicated_;
-  }
-  if (lf.delay > 0 && rng_.NextBool(lf.delay)) {
-    d.extra_delay += lf.delay_ticks;
-    ++delayed_;
-  }
-  if (windowed_) {
-    if (Stalled(from) || Stalled(to)) {
-      d.extra_delay += cfg_.stall_delay_ticks;
-      ++stall_delays_;
-    }
-    if (InOutage(from) || InOutage(to)) {
-      if (!d.drop) {
-        d.drop = true;
-        ++dropped_;
-      }
-      ++outage_drops_;
-    }
   }
   return d;
 }

@@ -5,14 +5,10 @@
 // departures" -- but the paper's network delivers every message perfectly.
 // A fault::Plan attaches at the net::Network message boundary
 // (Network::AttachFaults) and decides, per counted message, whether it is
-// dropped, duplicated, or delayed: baseline probabilities for every
-// message, per-category overrides (e.g. lose only query traffic), per-peer
-// overrides (one flaky node's links), plus *windowed* whole-peer faults --
-// gray-failure stalls (everything touching the peer slows down) and
-// correlated region outages (everything touching a peer set is dropped,
-// modelling a subtree or rack going dark at once). Windows are scheduled
-// on a deterministic operation clock (Network::FaultOpTick), so they work
-// with or without a sim/ latency attachment.
+// dropped or duplicated: baseline probabilities for every message, with
+// per-category overrides (e.g. lose only query traffic). Correlated
+// failures are a membership event (workload::OpType::kFailRegion), not a
+// message fault.
 //
 // Everything is driven by one seeded rng: the same plan config, seed and
 // message sequence produce the identical fault schedule, so every fault
@@ -30,33 +26,25 @@
 
 #include "net/message.h"
 #include "net/network.h"
-#include "sim/event_queue.h"
-#include "util/flat_map.h"
+#include "sim/clock.h"
 #include "util/rng.h"
 
 namespace baton {
 namespace fault {
 
 /// Per-message fault probabilities for one class of links. Probabilities
-/// are independent coins: a message can be both duplicated and delayed.
+/// are independent coins: a message can be both dropped and duplicated.
 struct LinkFaults {
   double drop = 0.0;       // P(message lost in transit)
   double duplicate = 0.0;  // P(one extra copy delivered)
-  double delay = 0.0;      // P(message held up by delay_ticks)
-  sim::Time delay_ticks = 0;
-
-  bool any() const { return drop > 0 || duplicate > 0 || delay > 0; }
 };
 
 /// Static configuration of a fault plan.
 struct PlanConfig {
   uint64_t seed = 0;
-  /// Baseline faults applied to every message (per-category and per-peer
-  /// overrides replace it for their matches; see Plan::SetCategoryFaults).
+  /// Baseline faults applied to every message (a per-category override
+  /// replaces it for its category; see Plan::SetCategoryFaults).
   LinkFaults all;
-  /// Extra delay added to every message touching a stalled peer
-  /// (gray failure: the node is up but everything near it is slow).
-  sim::Time stall_delay_ticks = 100;
 };
 
 /// Metric names shared by the layers that account for degraded service
@@ -64,7 +52,6 @@ struct PlanConfig {
 /// did we time out / give up" reads out of one obs::Registry namespace no
 /// matter which layer absorbed the fault.
 inline constexpr char kMetricDrops[] = "fault.dropped_msgs";
-inline constexpr char kMetricDups[] = "fault.duplicated_msgs";
 inline constexpr char kMetricRetries[] = "fault.retries";
 inline constexpr char kMetricTimeouts[] = "fault.timeouts";
 inline constexpr char kMetricGaveUp[] = "fault.gave_up";
@@ -81,71 +68,23 @@ class Plan : public net::FaultInjector {
   /// Replaces the baseline faults for one message category (e.g. drop only
   /// kQuery traffic so overlay construction is unaffected).
   void SetCategoryFaults(net::MsgCategory c, const LinkFaults& f);
-  /// Replaces the baseline for every message touching `p` (either
-  /// endpoint). Peer overrides win over category overrides.
-  void SetPeerFaults(net::PeerId p, const LinkFaults& f);
-
-  /// Gray-failure window: ops in [begin_op, end_op) add
-  /// stall_delay_ticks to every message touching `p`. Windows index ops
-  /// 0-based in start order after attachment (the first public operation
-  /// is op 0).
-  void AddStall(net::PeerId p, uint64_t begin_op, uint64_t end_op);
-  /// Correlated outage window: ops in [begin_op, end_op) drop every
-  /// message touching any peer in `peers` (a subtree / region going dark).
-  /// Same 0-based op indexing as AddStall.
-  void AddOutage(const std::vector<net::PeerId>& peers, uint64_t begin_op,
-                 uint64_t end_op);
 
   // net::FaultInjector implementation.
   Decision OnMessage(net::PeerId from, net::PeerId to,
                      net::MsgType type) override;
-  void OnOpBegin() override { ++op_clock_; }
-
-  /// Operations started since attachment (the window clock).
-  uint64_t op_clock() const { return op_clock_; }
 
   // Cumulative accounting, for reports and tests.
   uint64_t dropped() const { return dropped_; }
   uint64_t duplicated() const { return duplicated_; }
-  uint64_t delayed() const { return delayed_; }
-  uint64_t outage_drops() const { return outage_drops_; }
-  uint64_t stall_delays() const { return stall_delays_; }
 
  private:
-  struct Window {
-    uint64_t begin_op = 0;
-    uint64_t end_op = 0;
-    bool Active(uint64_t op) const { return op >= begin_op && op < end_op; }
-  };
-  struct Outage {
-    Window window;
-    std::vector<net::PeerId> peers;  // sorted, for binary_search
-  };
-
-  /// The fault class governing one message (peer > category > baseline).
-  const LinkFaults& FaultsFor(net::PeerId from, net::PeerId to,
-                              net::MsgCategory cat) const;
-  /// 0-based index of the op in progress (OnOpBegin increments before the
-  /// op body runs; messages sent outside any op count as op 0).
-  uint64_t current_op() const { return op_clock_ == 0 ? 0 : op_clock_ - 1; }
-  bool Stalled(net::PeerId p) const;
-  bool InOutage(net::PeerId p) const;
-
-  PlanConfig cfg_;
-  std::vector<LinkFaults> by_category_;  // indexed by MsgCategory
-  std::vector<bool> has_category_;
-  util::FlatMap64<LinkFaults> per_peer_;            // keyed by PeerId
-  util::FlatMap64<std::vector<Window>> stalls_;     // keyed by PeerId
-  std::vector<Outage> outages_;
-  bool windowed_ = false;  // any stall/outage registered
+  /// The faults in force per MsgCategory: the baseline unless
+  /// SetCategoryFaults replaced it.
+  std::vector<LinkFaults> by_category_;
 
   Rng rng_;
-  uint64_t op_clock_ = 0;
   uint64_t dropped_ = 0;
   uint64_t duplicated_ = 0;
-  uint64_t delayed_ = 0;
-  uint64_t outage_drops_ = 0;
-  uint64_t stall_delays_ = 0;
 };
 
 /// Resilience budget enforced by the overlay measured wrapper when a fault

@@ -1,7 +1,6 @@
 #include "net/network.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "sim/latency.h"
 
@@ -37,22 +36,21 @@ void Network::Count(PeerId from, PeerId to, MsgType type) {
   BATON_CHECK_LT(from, alive_.size());
   BATON_CHECK_LT(to, alive_.size());
   if (faults_ == nullptr) {
-    CountOne(from, to, type, /*dropped=*/false, /*extra_delay=*/0);
+    CountOne(from, to, type, /*dropped=*/false);
     return;
   }
   FaultInjector::Decision d = faults_->OnMessage(from, to, type);
   if (d.drop) ++window_dropped_;
   window_duplicated_ += d.duplicates;
-  CountOne(from, to, type, d.drop, d.extra_delay);
+  CountOne(from, to, type, d.drop);
   // Duplicate copies: the fault is extra delivery, not loss, and each copy
   // is a real message -- counted, processed, timed.
   for (uint32_t i = 0; i < d.duplicates; ++i) {
-    CountOne(from, to, type, /*dropped=*/false, d.extra_delay);
+    CountOne(from, to, type, /*dropped=*/false);
   }
 }
 
-void Network::CountOne(PeerId from, PeerId to, MsgType type, bool dropped,
-                       sim::Time extra_delay) {
+void Network::CountOne(PeerId from, PeerId to, MsgType type, bool dropped) {
   ++snapshot_.total;
   ++snapshot_.by_type[static_cast<size_t>(type)];
   // A message is "processed by" its receiver; dead receivers process nothing
@@ -61,22 +59,22 @@ void Network::CountOne(PeerId from, PeerId to, MsgType type, bool dropped,
   if (alive_[to] && !dropped) {
     ++processed_[to][static_cast<size_t>(CategoryOf(type))];
   }
-  // Observability event ticks: virtual times on the sim clock when a kernel
-  // is attached, otherwise the (just-incremented) global message index --
-  // either way causally ordered and fully deterministic.
+  // Observability event ticks: virtual times on the sim clock when a
+  // latency model is attached, otherwise the (just-incremented) global
+  // message index -- either way causally ordered and fully deterministic.
   uint64_t send_tick = snapshot_.total;
   uint64_t deliver_tick = snapshot_.total;
-  if (sim_queue_ != nullptr) {
+  if (sim_clock_ != nullptr) {
     // Critical-path timing: the message departs when its sender last became
     // available in this window (a fresh origin departs at 0), and arrives
     // one latency sample later. Receivers take the max over everything in
     // flight toward them, so parallel fan-out from one sender costs a
     // single latency while sequential relays accumulate.
     sim::Time departs = FrontierAt(from);
-    sim::Time arrives = departs + sim_latency_->Sample(&sim_rng_) + extra_delay;
+    sim::Time arrives = departs + sim_latency_->Sample(&sim_rng_);
     // Counts issued outside any window share the clock position of the
     // last window.
-    sim::Time base = std::max(window_start_, sim_queue_->now());
+    sim::Time base = std::max(window_start_, sim_clock_->now());
     if (!dropped) {
       // A dropped message advances nothing: the receiver never becomes
       // "available with the answer", so the loss is invisible to the
@@ -98,15 +96,15 @@ void Network::CountOne(PeerId from, PeerId to, MsgType type, bool dropped,
   }
 }
 
-void Network::AttachSim(sim::EventQueue* queue, sim::LatencyModel* latency,
+void Network::AttachSim(sim::Clock* clock, sim::LatencyModel* latency,
                         uint64_t seed) {
-  BATON_CHECK_EQ(queue == nullptr, latency == nullptr)
-      << "queue and latency model must be attached together";
-  sim_queue_ = queue;
+  BATON_CHECK_EQ(clock == nullptr, latency == nullptr)
+      << "clock and latency model must be attached together";
+  sim_clock_ = clock;
   sim_latency_ = latency;
   sim_rng_ = Rng(seed);
   window_epoch_ = 0;
-  window_start_ = queue != nullptr ? queue->now() : 0;
+  window_start_ = clock != nullptr ? clock->now() : 0;
   horizon_ = 0;
   last_arrival_ = 0;
   sim_delivered_ = 0;
@@ -118,24 +116,21 @@ void Network::BeginOpWindow() {
     window_dropped_ = 0;
     window_duplicated_ = 0;
   }
-  if (sim_queue_ == nullptr) return;
+  if (sim_clock_ == nullptr) return;
   ++window_epoch_;
-  window_start_ = sim_queue_->now();
+  window_start_ = sim_clock_->now();
   horizon_ = 0;
 }
 
 sim::Time Network::EndOpWindow() {
-  if (sim_queue_ == nullptr) return 0;
-  // Other events on the queue run in time order; the clock then lands on
-  // the operation's completion (or stays put if an event ran past it).
-  sim_queue_->RunUntilIdle();
-  sim_queue_->RunUntil(last_arrival_);
+  if (sim_clock_ == nullptr) return 0;
+  sim_clock_->AdvanceTo(last_arrival_);
   sim::Time h = horizon_;
   // Close the window: stray Counts issued before the next BeginOpWindow
   // start from a fresh frontier anchored at the advanced clock, instead of
   // re-applying this window's elapsed time on top of it.
   ++window_epoch_;
-  window_start_ = sim_queue_->now();
+  window_start_ = sim_clock_->now();
   horizon_ = 0;
   return h;
 }
@@ -147,17 +142,6 @@ uint64_t Network::ProcessedBy(PeerId p, MsgCategory c) const {
 
 void Network::ResetPerPeerCounters() {
   for (auto& row : processed_) row.fill(0);
-}
-
-std::string Network::CounterReport() const {
-  std::ostringstream out;
-  out << "total messages: " << snapshot_.total << "\n";
-  for (int i = 0; i < kNumMsgTypes; ++i) {
-    uint64_t c = snapshot_.by_type[static_cast<size_t>(i)];
-    if (c == 0) continue;
-    out << "  " << MsgTypeName(static_cast<MsgType>(i)) << ": " << c << "\n";
-  }
-  return out.str();
 }
 
 size_t Network::FlushDeferred() {

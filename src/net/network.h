@@ -10,16 +10,15 @@
 //    message that the caller must detect and recover from),
 //  * a deferred-update facility modelling update-propagation delay for the
 //    network-dynamics experiment (Fig. 8(i)),
-//  * an optional attachment to the sim/ discrete-event kernel: with an
-//    EventQueue + LatencyModel attached, Count() also samples the message's
-//    link latency and maintains a per-peer "message available at" frontier,
-//    so an operation's critical-path time (sequential hops add, parallel
-//    fan-out takes the max over branches) can be read out per measurement
-//    window, and EndOpWindow advances the queue's clock to the operation's
-//    completion. Messages schedule no events of their own. Message counters
-//    are unaffected, and no protocol rng is touched: with no model
-//    attached, behaviour is bit-for-bit identical to a build without sim
-//    support.
+//  * an optional latency attachment: with a sim::Clock + LatencyModel
+//    attached, Count() also samples the message's link latency and
+//    maintains a per-peer "message available at" frontier, so an
+//    operation's critical-path time (sequential hops add, parallel fan-out
+//    takes the max over branches) can be read out per measurement window,
+//    and EndOpWindow advances the clock to the operation's completion.
+//    Message counters are unaffected, and no protocol rng is touched: with
+//    no model attached, behaviour is bit-for-bit identical to a build
+//    without latency support.
 #ifndef BATON_NET_NETWORK_H_
 #define BATON_NET_NETWORK_H_
 
@@ -27,11 +26,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "net/message.h"
-#include "sim/event_queue.h"
+#include "sim/clock.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -63,7 +61,7 @@ struct RangeResult {
 /// Observability hook: one callback per counted message. Implemented by
 /// obs::Observer; net/ only sees this interface so the layering stays
 /// net <- obs <- overlay. `send_tick`/`deliver_tick` are virtual times on
-/// the sim/ kernel's clock when one is attached; otherwise both equal the
+/// the attached sim::Clock when there is one; otherwise both equal the
 /// global message index, which still orders every event causally.
 class MessageObserver {
  public:
@@ -91,17 +89,12 @@ class FaultInjector {
     /// Extra identical copies delivered -- each is a real message: counted,
     /// processed by the receiver, timed.
     uint32_t duplicates = 0;
-    /// Added to the link's sampled latency (gray failure / congestion).
-    /// Only observable with a sim/ kernel attached.
-    sim::Time extra_delay = 0;
   };
   virtual Decision OnMessage(PeerId from, PeerId to, MsgType type) = 0;
 
-  /// Advances the injector's deterministic operation clock. Fault windows
-  /// (stalls, correlated outages) are scheduled in operations, not wall
-  /// time, so they work without a sim attachment; the overlay measured
-  /// wrapper calls this exactly once per public operation (not per retry).
-  virtual void OnOpBegin() = 0;
+  /// Nothing calls this. It stays only because benchsuite/bench_suite.cc
+  /// (line 374), which may not change, overrides it.
+  virtual void OnOpBegin() {}
 };
 
 /// Cheap value snapshot of the counters; diff two snapshots to get the cost
@@ -156,33 +149,29 @@ class Network {
   /// Reset only the per-peer processed counts (keeps global totals).
   void ResetPerPeerCounters();
 
-  std::string CounterReport() const;
-
-  // ---- Simulated latency (sim/ event-kernel attachment) --------------------
-  /// Attaches the discrete-event kernel: every subsequent Count() samples a
-  /// link latency and advances the receiver's availability frontier, and
-  /// EndOpWindow moves `queue`'s clock past the latest arrival. `queue` may
-  /// carry other events too; they run in time order at the next
-  /// EndOpWindow. `queue` and `latency` are non-owning and must outlive the
-  /// attachment; pass nullptr for both to detach. `seed` seeds the latency-sampling rng, which is independent
+  // ---- Simulated latency (sim/ attachment) ---------------------------------
+  /// Attaches a latency model: every subsequent Count() samples a link
+  /// latency and advances the receiver's availability frontier, and
+  /// EndOpWindow moves `clock` to the latest arrival. `clock` and `latency`
+  /// are non-owning and must outlive the attachment; pass nullptr for both
+  /// to detach. `seed` seeds the latency-sampling rng, which is independent
   /// of every protocol rng (message counts and protocol decisions are
   /// byte-identical with or without an attachment).
-  void AttachSim(sim::EventQueue* queue, sim::LatencyModel* latency,
+  void AttachSim(sim::Clock* clock, sim::LatencyModel* latency,
                  uint64_t seed);
-  bool sim_attached() const { return sim_queue_ != nullptr; }
+  bool sim_attached() const { return sim_clock_ != nullptr; }
 
   /// Opens a measurement window: the per-peer frontier resets (every peer
   /// is immediately available) and critical-path accounting restarts. O(1).
   void BeginOpWindow();
-  /// Runs the queue's pending events, advances its clock to the latest
-  /// arrival of any message counted since the last EndOpWindow (the
-  /// operation's completion time), and returns the window's critical-path
-  /// length in ticks: max over all messages of their arrival time, where a
-  /// message departs when its sender last became available. Returns 0 when
-  /// no kernel is attached.
+  /// Advances the clock to the latest arrival of any message counted since
+  /// the last EndOpWindow (the operation's completion time), and returns
+  /// the window's critical-path length in ticks: max over all messages of
+  /// their arrival time, where a message departs when its sender last
+  /// became available. Returns 0 when no latency model is attached.
   sim::Time EndOpWindow();
-  /// Messages delivered under the kernel since AttachSim (every counted
-  /// message that was not dropped).
+  /// Messages delivered under the latency model since AttachSim (every
+  /// counted message that was not dropped).
   uint64_t sim_delivered() const { return sim_delivered_; }
 
   // ---- Observability (obs/ attachment) -------------------------------------
@@ -194,15 +183,15 @@ class Network {
   void AttachObserver(MessageObserver* obs) { observer_ = obs; }
   MessageObserver* observer() const { return observer_; }
 
-  /// The clock observability events are stamped with: the sim/ kernel's
-  /// virtual time when attached, otherwise the global message index.
+  /// The clock observability events are stamped with: the attached
+  /// sim::Clock's time, otherwise the global message index.
   uint64_t ObsClock() const {
-    return sim_queue_ != nullptr ? sim_queue_->now() : snapshot_.total;
+    return sim_clock_ != nullptr ? sim_clock_->now() : snapshot_.total;
   }
 
   // ---- Fault injection (fault/ attachment) ---------------------------------
   /// Attaches a fault injector: every subsequent Count() first asks `f`
-  /// whether the message is dropped, duplicated, or delayed. Non-owning;
+  /// whether the message is dropped or duplicated. Non-owning;
   /// pass nullptr to detach. Opt-in like AttachSim/AttachObserver: detached
   /// (the default) the counting path is one null check and all output is
   /// byte-identical to a build without fault support.
@@ -212,13 +201,6 @@ class Network {
     window_duplicated_ = 0;
   }
   FaultInjector* faults() const { return faults_; }
-
-  /// Ticks the attached injector's op clock (no-op when detached). The
-  /// overlay measured wrapper calls this once per public operation so
-  /// windowed faults advance even across retries.
-  void FaultOpTick() {
-    if (faults_ != nullptr) faults_->OnOpBegin();
-  }
 
   /// Messages dropped / duplicated since the last BeginOpWindow. Always 0
   /// with no injector attached; the overlay resilience policy reads these
@@ -268,8 +250,7 @@ class Network {
   /// Counts one message (plus bookkeeping) with an already-made fault
   /// decision; Count() splits delivery from decision so duplicate copies
   /// reuse the same path.
-  void CountOne(PeerId from, PeerId to, MsgType type, bool dropped,
-                sim::Time extra_delay);
+  void CountOne(PeerId from, PeerId to, MsgType type, bool dropped);
 
   FaultInjector* faults_ = nullptr;
   uint64_t window_dropped_ = 0;
@@ -288,14 +269,14 @@ class Network {
     return f.epoch == window_epoch_ ? f.at : 0;
   }
 
-  sim::EventQueue* sim_queue_ = nullptr;
+  sim::Clock* sim_clock_ = nullptr;
   sim::LatencyModel* sim_latency_ = nullptr;
   Rng sim_rng_{0};
   std::vector<Frontier> frontier_;
   uint64_t window_epoch_ = 0;
-  sim::Time window_start_ = 0;  // queue time when the window opened
+  sim::Time window_start_ = 0;  // clock time when the window opened
   sim::Time horizon_ = 0;       // critical path of the current window
-  sim::Time last_arrival_ = 0;  // queue time of the latest delivery so far
+  sim::Time last_arrival_ = 0;  // clock time of the latest delivery so far
   uint64_t sim_delivered_ = 0;
 };
 

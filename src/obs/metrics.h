@@ -16,8 +16,8 @@
 //   serve.*                   serving-engine outcomes (ops_admitted,
 //                             sojourn_ticks, node.served, ...)
 //   fault.*                   degraded-service accounting under fault
-//                             injection: dropped_msgs, duplicated_msgs,
-//                             retries, timeouts, gave_up, degraded --
+//                             injection: dropped_msgs, retries,
+//                             timeouts, gave_up, degraded --
 //                             written by the overlay resilience wrapper
 //                             and the serving engine (shared constant
 //                             names in fault/fault.h)

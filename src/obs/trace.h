@@ -5,11 +5,12 @@
 // one Chrome trace-event JSON file (the {"traceEvents": [...]} flavor),
 // loadable in Perfetto / chrome://tracing, one "process" per recorder.
 //
-// Ticks are virtual: with a sim/ kernel attached they are the event queue's
-// critical-path clock; without one they fall back to the global message
-// index, which still orders every event causally. The writer emits ticks as
-// Chrome's microsecond timestamps verbatim and contains no wall-clock or
-// pointer values, so the same seed always produces a byte-identical file.
+// Ticks are virtual: with a sim/ latency model attached they are the
+// network's critical-path clock; without one they fall back to the global
+// message index, which still orders every event causally. The writer emits
+// ticks as Chrome's microsecond timestamps verbatim and contains no
+// wall-clock or pointer values, so the same seed always produces a
+// byte-identical file.
 #ifndef BATON_OBS_TRACE_H_
 #define BATON_OBS_TRACE_H_
 

@@ -34,7 +34,6 @@ OpStats Overlay::Measured(const char* op, PeerId origin, bool retryable,
   cache::Stats cache_before;
   if (cache_metrics) cache_before = cache_->stats();
   if (obs_ != nullptr) obs_->BeginOp(op, net->ObsClock());
-  net->FaultOpTick();
   RunAttempts(net, origin, retryable, fn, &st);
   st.messages = net->total_messages() - before;
   if (obs_ != nullptr) {

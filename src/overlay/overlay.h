@@ -61,7 +61,7 @@ std::string CapabilitiesToString(uint32_t caps);
 /// except `messages` and `latency_ticks`, which the Overlay base class
 /// computes: `messages` as the raw net::Network counter delta across the
 /// operation, `latency_ticks` as the operation's simulated critical-path
-/// time when a sim/ event kernel is attached (see AttachLatency).
+/// time when a latency model is attached (see AttachLatency).
 /// [[nodiscard]]: dropping an OpStats drops its Status -- a failed Join in
 /// a churn loop would silently desynchronise the member list from the
 /// overlay. Sites that really only care about the side effect discard
@@ -131,15 +131,16 @@ class Overlay {
   net::Network* network() { return &net_; }
   const net::Network* network() const { return &net_; }
 
-  /// Attaches the sim/ discrete-event kernel to the backend's network so
-  /// every subsequent operation reports its simulated critical-path time in
-  /// OpStats::latency_ticks (see net::Network::AttachSim). Works on every
-  /// backend: the timing is derived from the Count() stream, not from
-  /// backend code. `queue` and `latency` are non-owning and must outlive
-  /// the attachment.
-  void AttachLatency(sim::EventQueue* queue, sim::LatencyModel* latency,
+  /// Attaches a latency model and a caller-owned clock to the backend's
+  /// network, so every subsequent operation reports its simulated
+  /// critical-path time in OpStats::latency_ticks and moves `clock` to its
+  /// completion (see net::Network::AttachSim). Works on every backend: the
+  /// timing is derived from the Count() stream, not from backend code.
+  /// `clock` and `latency` are non-owning and must outlive the attachment;
+  /// pass nullptr for both to detach.
+  void AttachLatency(sim::Clock* clock, sim::LatencyModel* latency,
                      uint64_t seed) {
-    network()->AttachSim(queue, latency, seed);
+    network()->AttachSim(clock, latency, seed);
   }
 
   /// Attaches an observability collector (same lifecycle contract as

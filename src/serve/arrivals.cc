@@ -18,25 +18,5 @@ sim::Time PoissonArrivals::Next() {
   return t;
 }
 
-TraceArrivals::TraceArrivals(std::vector<sim::Time> times)
-    : times_(std::move(times)) {
-  for (size_t i = 1; i < times_.size(); ++i) {
-    BATON_CHECK_GE(times_[i], times_[i - 1])
-        << "arrival schedule must be non-decreasing";
-  }
-  if (times_.size() >= 2) {
-    tail_gap_ = times_.back() - times_[times_.size() - 2];
-  }
-}
-
-sim::Time TraceArrivals::Next() {
-  if (idx_ < times_.size()) {
-    last_ = times_[idx_++];
-  } else {
-    last_ += tail_gap_;
-  }
-  return last_;
-}
-
 }  // namespace serve
 }  // namespace baton

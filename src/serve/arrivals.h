@@ -18,9 +18,8 @@
 #define BATON_SERVE_ARRIVALS_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "sim/event_queue.h"
+#include "sim/clock.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -66,22 +65,6 @@ class PoissonArrivals : public Arrivals {
   double mean_gap_;
   double next_ = 0.0;
   Rng rng_;
-};
-
-/// Replays an explicit arrival-time schedule (e.g. recorded from a
-/// production log). Times must be non-decreasing; requests beyond the
-/// schedule's length reuse the final gap, so a short recorded burst can
-/// drive an arbitrarily long trace.
-class TraceArrivals : public Arrivals {
- public:
-  explicit TraceArrivals(std::vector<sim::Time> times);
-  sim::Time Next() override;
-
- private:
-  std::vector<sim::Time> times_;
-  size_t idx_ = 0;
-  sim::Time last_ = 0;
-  sim::Time tail_gap_ = 0;
 };
 
 }  // namespace serve

@@ -15,6 +15,10 @@ using workload::Op;
 
 namespace {
 
+/// In-flight ticks per hop: the link latency between one hop's service
+/// completion and the next hop's delivery.
+constexpr sim::Time kHopLatency = 1;
+
 /// One admitted operation's serving state: its arrival tick and its hop
 /// chain, the slice [next, end) of the run's flat receiver vector. `next`
 /// walks the chain as service completions release successive hops.
@@ -144,8 +148,7 @@ void Engine::RunState::Loop(Arrivals* arrivals) {
 bool Engine::RunState::Admit(size_t i) {
   const Op& op = trace[i];
   trail->Clear();
-  const AppliedOp applied =
-      workload::ApplyOp(ov, op, op_rng, members, cfg.replay);
+  const AppliedOp applied = workload::ApplyOp(ov, op, op_rng, members);
   if (!res.replay.Record(op, applied, cfg.replay.record_answers)) {
     return false;
   }
@@ -164,7 +167,7 @@ bool Engine::RunState::Admit(size_t i) {
     res.completions.push_back(now);
     return false;
   }
-  Schedule(now + cfg.hop_latency, i, Event::Kind::kDeliver);
+  Schedule(now + kHopLatency, i, Event::Kind::kDeliver);
   return true;
 }
 
@@ -194,7 +197,7 @@ void Engine::RunState::Deliver(size_t idx) {
 void Engine::RunState::Serviced(size_t idx) {
   InFlight& op = ops[idx];
   if (++op.next < op.end) {
-    Schedule(now + cfg.hop_latency, idx, Event::Kind::kDeliver);
+    Schedule(now + kHopLatency, idx, Event::Kind::kDeliver);
     return;
   }
   Finish(idx, /*completed=*/true);
@@ -241,9 +244,9 @@ EngineResult Engine::RunInternal(const workload::Trace& trace,
 
   // Capture every message the overlay sends during an admission, chaining
   // to whatever observer (obs::Observer, usually) was already attached so
-  // instrumentation keeps working underneath the engine. A sim/ kernel
+  // instrumentation keeps working underneath the engine. A latency model
   // attached to the network (AttachLatency) keeps timing individual ops on
-  // its own queue; the engine never schedules anything there.
+  // its own clock; the engine never touches it.
   net::Network* net = ov_->network();
   net::MessageTrail trail(net->observer());
   net->AttachObserver(&trail);

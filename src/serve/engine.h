@@ -15,7 +15,7 @@
 //     while a net::MessageTrail captures the operation's message sequence
 //     at the measured-wrapper boundary.
 //  2. The trail then becomes the op's hop chain: hop k is delivered to its
-//     receiver one hop_latency after hop k-1 finished service, waits in
+//     receiver one tick after hop k-1 finished service, waits in
 //     that node's FIFO queue (serve::NodeModel) behind every other
 //     in-flight op's messages, is serviced for service_ticks, and only then
 //     releases hop k+1. Ops race each other at hot nodes: queueing delay --
@@ -41,9 +41,9 @@
 // service_ticks of CPU no matter how parallel the wire is, and it is the
 // receiver occupancy that saturates first. The sim/ critical-path
 // attachment (OpStats::latency_ticks) remains the fan-out-aware wire-time
-// model; the two compose because the engine schedules nothing on the
-// network's sim::EventQueue: a kernel attached with AttachLatency times
-// each op inside its admission, on its own queue.
+// model; the two compose because the engine never touches the network's
+// sim::Clock: a latency model attached with AttachLatency times each op
+// inside its admission, on its own clock.
 //
 // Closed-loop mode (RunClosedLoop) admits op i+1 only when op i has fully
 // drained -- today's one-at-a-time semantics on the serving timeline. Its
@@ -68,7 +68,7 @@
 #include "overlay/overlay.h"
 #include "serve/arrivals.h"
 #include "serve/node_model.h"
-#include "sim/event_queue.h"
+#include "sim/clock.h"
 #include "util/rng.h"
 #include "workload/replay.h"
 
@@ -78,8 +78,6 @@ namespace serve {
 struct EngineConfig {
   /// Ticks a node spends servicing each message (see serve::NodeModel).
   uint64_t service_ticks = 1;
-  /// In-flight ticks per hop (link latency between service completions).
-  sim::Time hop_latency = 1;
   /// Max unserviced messages at a node before arrivals are refused and the
   /// owning op is dropped; 0 = unbounded queues.
   uint64_t max_queue = 0;
@@ -87,8 +85,7 @@ struct EngineConfig {
   /// and are measured -- the timeout models a client giving up, not the
   /// system aborting work). 0 = no deadline.
   sim::Time timeout_ticks = 0;
-  /// Replay semantics shared with workload::Replay (min_members guard,
-  /// failure recovery, answer recording).
+  /// Replay options shared with workload::Replay (answer recording).
   workload::ReplayOptions replay;
   /// Per-node service-rate overrides (node id -> occupancy ticks), applied
   /// to every run's NodeModel: a heterogeneous fleet where the listed

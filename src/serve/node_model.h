@@ -26,10 +26,11 @@
 #ifndef BATON_SERVE_NODE_MODEL_H_
 #define BATON_SERVE_NODE_MODEL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "sim/event_queue.h"
+#include "sim/clock.h"
 
 namespace baton {
 namespace serve {

@@ -1,65 +1,15 @@
-// Discrete-event simulation kernel: a virtual clock plus a priority queue of
-// scheduled callbacks. Deterministic: ties in time are broken by insertion
-// sequence number.
+// Old name of sim::Clock, kept only for benchsuite/bench_suite.cc, which
+// may not change. New code names sim::Clock (the benchsuite-shims lint
+// rule enforces this).
 #ifndef BATON_SIM_EVENT_QUEUE_H_
 #define BATON_SIM_EVENT_QUEUE_H_
 
-#include <cstdint>
-#include <functional>
-#include <vector>
+#include "sim/clock.h"
 
 namespace baton {
 namespace sim {
 
-using Time = uint64_t;
-
-class EventQueue {
- public:
-  /// Schedule `fn` to run at absolute virtual time `at` (>= now).
-  void ScheduleAt(Time at, std::function<void()> fn);
-  /// Schedule `fn` to run `delay` ticks from now.
-  void ScheduleAfter(Time delay, std::function<void()> fn);
-
-  /// Run the next event; returns false if the queue is empty.
-  bool Step();
-  /// Run events until the queue is empty or `max_events` were processed.
-  /// Returns the number of events processed.
-  uint64_t RunUntilIdle(uint64_t max_events = UINT64_MAX);
-  /// Run all events with time <= t_end, then advance the clock to t_end
-  /// (even if the last event fired earlier), so ScheduleAfter(d) afterwards
-  /// fires at t_end + d. The clock never moves backwards.
-  uint64_t RunUntil(Time t_end);
-
-  Time now() const { return now_; }
-  size_t pending() const { return queue_.size(); }
-  uint64_t processed() const { return processed_; }
-
- private:
-  struct Event {
-    Time at;
-    uint64_t seq;
-    std::function<void()> fn;
-  };
-  /// Max-heap comparator inverted into a min-heap on (at, seq): earlier time
-  /// first, insertion order breaking ties -- the determinism contract.
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  /// A raw heap (push_heap/pop_heap over a vector) instead of
-  /// std::priority_queue: pop_heap leaves the extracted event in the back
-  /// slot as a mutable element, so Step() can MOVE the std::function out
-  /// instead of copying it. With tens of thousands of in-flight serving
-  /// continuations (each capturing state), the per-event copy was the
-  /// kernel's dominant cost.
-  std::vector<Event> queue_;
-  Time now_ = 0;
-  uint64_t next_seq_ = 0;
-  uint64_t processed_ = 0;
-};
+using EventQueue = Clock;
 
 }  // namespace sim
 }  // namespace baton

@@ -1,10 +1,10 @@
-// Link latency models for the discrete-event kernel.
+// Link latency models for the simulated network (net::Network::AttachSim).
 #ifndef BATON_SIM_LATENCY_H_
 #define BATON_SIM_LATENCY_H_
 
 #include <cstdint>
 
-#include "sim/event_queue.h"
+#include "sim/clock.h"
 #include "util/check.h"
 #include "util/rng.h"
 

@@ -67,6 +67,4 @@ double Rng::NextDouble() {
 
 bool Rng::NextBool(double p_true) { return NextDouble() < p_true; }
 
-Rng Rng::Fork() { return Rng(Next()); }
-
 }  // namespace baton

@@ -56,9 +56,6 @@ class Rng {
     return v[NextBelow(v.size())];
   }
 
-  /// Derive an independent child generator (for per-component streams).
-  Rng Fork();
-
  private:
   uint64_t s_[4];
 };

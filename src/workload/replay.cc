@@ -45,8 +45,7 @@ void OpAggregate::Merge(const OpAggregate& other) {
 }
 
 AppliedOp ApplyOp(overlay::Overlay& ov, const Op& op, Rng* rng,
-                  std::vector<net::PeerId>* members,
-                  const ReplayOptions& opts) {
+                  std::vector<net::PeerId>* members) {
   AppliedOp out;
   // The one rng draw this op gets, taken before any capability or guard
   // check so every backend consumes an identical random stream.
@@ -59,7 +58,7 @@ AppliedOp ApplyOp(overlay::Overlay& ov, const Op& op, Rng* rng,
       break;
     }
     case OpType::kLeave: {
-      if (members->size() <= opts.min_members) {
+      if (members->size() <= kMinMembers) {
         out.disposition = AppliedOp::Disposition::kSkipped;
         break;
       }
@@ -70,7 +69,7 @@ AppliedOp ApplyOp(overlay::Overlay& ov, const Op& op, Rng* rng,
       break;
     }
     case OpType::kFail: {
-      if (members->size() <= opts.min_members) {
+      if (members->size() <= kMinMembers) {
         out.disposition = AppliedOp::Disposition::kSkipped;
         break;
       }
@@ -79,13 +78,11 @@ AppliedOp ApplyOp(overlay::Overlay& ov, const Op& op, Rng* rng,
         break;
       }
       out.stats = ov.Fail(peer);
-      if (out.stats.ok() && opts.recover_failures) {
+      if (out.stats.ok()) {
         overlay::OpStats rec = ov.RecoverAllFailures();
         BATON_CHECK(rec.ok()) << rec.status.ToString();
         out.stats.messages += rec.messages;
         out.stats.latency_ticks += rec.latency_ticks;
-      }
-      if (out.stats.ok()) {
         members->erase(members->begin() + static_cast<long>(idx));
       }
       break;
@@ -93,7 +90,7 @@ AppliedOp ApplyOp(overlay::Overlay& ov, const Op& op, Rng* rng,
     case OpType::kFailRegion: {
       size_t width = static_cast<size_t>(op.key_hi);
       if (width == 0) width = 1;
-      if (members->size() <= opts.min_members + width) {
+      if (members->size() <= kMinMembers + width) {
         out.disposition = AppliedOp::Disposition::kSkipped;
         break;
       }
@@ -120,14 +117,12 @@ AppliedOp ApplyOp(overlay::Overlay& ov, const Op& op, Rng* rng,
         out.stats.dropped_msgs += f.dropped_msgs;
         out.stats.degraded = out.stats.degraded || f.degraded;
       }
-      if (opts.recover_failures) {
-        overlay::OpStats rec = ov.RecoverAllFailures();
-        BATON_CHECK(rec.ok()) << rec.status.ToString();
-        out.stats.messages += rec.messages;
-        out.stats.latency_ticks += rec.latency_ticks;
-        out.stats.dropped_msgs += rec.dropped_msgs;
-        out.stats.degraded = out.stats.degraded || rec.degraded;
-      }
+      overlay::OpStats rec = ov.RecoverAllFailures();
+      BATON_CHECK(rec.ok()) << rec.status.ToString();
+      out.stats.messages += rec.messages;
+      out.stats.latency_ticks += rec.latency_ticks;
+      out.stats.dropped_msgs += rec.dropped_msgs;
+      out.stats.degraded = out.stats.degraded || rec.degraded;
       for (net::PeerId v : victims) {
         for (size_t m = 0; m < members->size(); ++m) {
           if ((*members)[m] == v) {
@@ -168,7 +163,7 @@ ReplayResult Replay(overlay::Overlay& ov, const Trace& trace, Rng* rng,
       << "Replay needs a bootstrapped overlay with at least one member";
   ReplayResult res;
   for (const Op& op : trace) {
-    res.Record(op, ApplyOp(ov, op, rng, members, opts), opts.record_answers);
+    res.Record(op, ApplyOp(ov, op, rng, members), opts.record_answers);
   }
   return res;
 }

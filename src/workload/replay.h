@@ -24,13 +24,11 @@
 namespace baton {
 namespace workload {
 
+/// Leaves and failures are skipped while the overlay has at most this many
+/// members (a trace must not shrink the overlay away underneath itself).
+inline constexpr size_t kMinMembers = 4;
+
 struct ReplayOptions {
-  /// Leaves/failures are skipped while the overlay has at most this many
-  /// members (a trace must not shrink the overlay away underneath itself).
-  size_t min_members = 4;
-  /// Run RecoverAllFailures after every kFail (single-failure traces); the
-  /// recovery messages are charged to the kFail aggregate.
-  bool recover_failures = true;
   /// Record per-query answers (found bits, range match counts) for
   /// cross-backend differential comparison.
   bool record_answers = false;
@@ -41,7 +39,7 @@ struct OpAggregate {
   uint64_t count = 0;        // ops executed (excluding skipped/unsupported)
   uint64_t ok = 0;           // ops that returned OK
   uint64_t found = 0;        // searches that found stored keys
-  uint64_t skipped = 0;      // guarded by min_members
+  uint64_t skipped = 0;      // guarded by kMinMembers
   uint64_t unsupported = 0;  // backend lacks the capability
   uint64_t messages = 0;     // total OpStats::messages
   uint64_t hops = 0;         // total OpStats::hops (negative hops clamp to 0)
@@ -121,7 +119,7 @@ struct ReplayResult {
 struct AppliedOp {
   /// What happened to the op, mirroring the OpAggregate bookkeeping:
   /// kExecuted ops carry `stats`; kSkipped ops were guarded by
-  /// ReplayOptions::min_members; kUnsupported ops hit a capability gate.
+  /// kMinMembers; kUnsupported ops hit a capability gate.
   enum class Disposition : uint8_t { kExecuted, kSkipped, kUnsupported };
   Disposition disposition = Disposition::kExecuted;
   overlay::OpStats stats;
@@ -131,15 +129,15 @@ struct AppliedOp {
 
 /// Executes ONE trace op against `ov` with Replay's exact semantics: one
 /// rng draw before any capability/guard check (cross-backend stream
-/// alignment), min_members guards on kLeave/kFail, RecoverAllFailures
-/// folded into kFail when opts.recover_failures, and `members` maintained
-/// across membership changes. Replay is a loop over this function; the
+/// alignment), kMinMembers guards on kLeave/kFail, RecoverAllFailures
+/// folded into kFail and kFailRegion (recovery messages are charged to the
+/// failure's aggregate), and `members` maintained across membership
+/// changes. Replay is a loop over this function; the
 /// serving engine admits ops through it one event at a time -- sharing the
 /// implementation is what makes the engine's closed-loop mode match Replay
 /// aggregates exactly, by construction.
 AppliedOp ApplyOp(overlay::Overlay& ov, const Op& op, Rng* rng,
-                  std::vector<net::PeerId>* members,
-                  const ReplayOptions& opts);
+                  std::vector<net::PeerId>* members);
 
 /// Replays `trace` against `ov`, picking op origins/contacts/victims from
 /// `members` via `rng` and maintaining `members` across membership changes

@@ -101,9 +101,8 @@ std::vector<Op> MakeChurnTrace(Rng* rng, KeyGenerator* gen,
 
 /// Operation mix for a correlated-failure trace: like ChurnMix, but the
 /// failure events are whole-region outages (kFailRegion) instead of
-/// independent single-node crashes -- the scenario ROADMAP item 4 calls
-/// "whole subtrees at once, like region outages", and the fault plans'
-/// AddOutage windows made measurable at the membership level.
+/// independent single-node crashes: whole subtrees failing at once, like
+/// region outages, measured at the membership level.
 struct CorrelatedFailMix {
   size_t bursts = 0;       // correlated outage events
   size_t burst_width = 4;  // consecutive canonical-order members per event

@@ -1,8 +1,8 @@
-// Tests for latency-weighted OpStats: the sim/ event kernel attached to an
-// overlay's network via Overlay::AttachLatency, the critical-path contract
-// (sequential hops add, parallel fan-out takes the max), determinism, the
-// zero-latency regression guarding bench byte-identity, and the replay
-// aggregates built on top.
+// Tests for latency-weighted OpStats: a sim/ latency model and clock
+// attached to an overlay's network via Overlay::AttachLatency, the
+// critical-path contract (sequential hops add, parallel fan-out takes the
+// max), determinism, the zero-latency regression guarding bench
+// byte-identity, and the replay aggregates built on top.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "overlay/registry.h"
-#include "sim/event_queue.h"
+#include "sim/clock.h"
 #include "sim/latency.h"
 #include "util/rng.h"
 #include "workload/replay.h"
@@ -77,9 +77,9 @@ TEST(OverlayLatency, ZeroTickModelReportsZeroLatency) {
   // A model that samples 0 ticks must behave like free links: delivery
   // events still flow, but the critical path is 0.
   Built b = Grow("baton", 32, 2, 5);
-  sim::EventQueue q;
+  sim::Clock clock;
   sim::ConstantLatency lat(0);
-  b.ov->AttachLatency(&q, &lat, 1);
+  b.ov->AttachLatency(&clock, &lat, 1);
   OpStats st = b.ov->ExactSearch(b.members[5], 123456789);
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st.latency_ticks, 0u);
@@ -90,9 +90,9 @@ TEST(OverlayLatency, ConstOneExactSearchLatencyEqualsHops) {
   // Exact-match routing is purely sequential: with one tick per link the
   // critical path of each search equals its hop count.
   Built b = Grow("baton", 100, 3, 5);
-  sim::EventQueue q;
+  sim::Clock clock;
   sim::ConstantLatency lat(1);
-  b.ov->AttachLatency(&q, &lat, 1);
+  b.ov->AttachLatency(&clock, &lat, 1);
   Rng rng(13);
   for (int i = 0; i < 100; ++i) {
     OpStats st = b.ov->ExactSearch(
@@ -110,9 +110,9 @@ TEST(OverlayLatency, RangeQueryFanOutBeatsSequentialHops) {
   // strictly below the sequential sum of hops -- the distinction message
   // counts alone cannot make.
   Built b = Grow("baton", 128, 4, 5);
-  sim::EventQueue q;
+  sim::Clock clock;
   sim::ConstantLatency lat(1);
-  b.ov->AttachLatency(&q, &lat, 1);
+  b.ov->AttachLatency(&clock, &lat, 1);
   Rng rng(17);
   uint64_t total_lat = 0, total_hops = 0;
   for (int i = 0; i < 10; ++i) {
@@ -135,9 +135,9 @@ TEST(OverlayLatency, DeterministicAcrossRuns) {
   // latency_ticks, run after run.
   auto run = [](uint64_t sim_seed) {
     Built b = Grow("baton", 64, 5, 5);
-    sim::EventQueue q;
+    sim::Clock clock;
     sim::UniformLatency lat(1, 9);
-    b.ov->AttachLatency(&q, &lat, sim_seed);
+    b.ov->AttachLatency(&clock, &lat, sim_seed);
     Rng rng(19);
     std::vector<uint64_t> ticks;
     for (int i = 0; i < 30; ++i) {
@@ -158,9 +158,9 @@ TEST(OverlayLatency, EveryBackendReportsLatencyThroughTheSameWrapper) {
   // wrapper, so backends need no code of their own to be timed.
   for (const std::string& name : overlay::RegisteredNames()) {
     Built b = Grow(name, 48, 6);
-    sim::EventQueue q;
+    sim::Clock clock;
     sim::ConstantLatency lat(1);
-    b.ov->AttachLatency(&q, &lat, 1);
+    b.ov->AttachLatency(&clock, &lat, 1);
     Rng rng(29);
     for (int i = 0; i < 20; ++i) {
       OpStats st = b.ov->ExactSearch(
@@ -181,9 +181,9 @@ TEST(OverlayLatency, EveryBackendReportsLatencyThroughTheSameWrapper) {
 
 TEST(ReplayLatency, AggregatesMatchPerOpTotals) {
   Built b = Grow("baton", 64, 7, 5);
-  sim::EventQueue q;
+  sim::Clock clock;
   sim::ConstantLatency lat(1);
-  b.ov->AttachLatency(&q, &lat, 1);
+  b.ov->AttachLatency(&clock, &lat, 1);
 
   workload::Trace trace;
   Rng keygen(31);

@@ -14,7 +14,7 @@
 #include "obs/observer.h"
 #include "obs/trace.h"
 #include "overlay/registry.h"
-#include "sim/event_queue.h"
+#include "sim/clock.h"
 #include "sim/latency.h"
 #include "util/rng.h"
 #include "workload/replay.h"
@@ -206,15 +206,15 @@ TEST(Observer, RecoveredFailuresAddOneSpanEach) {
 
 TEST(Observer, TraceIsByteIdenticalAcrossRunsPerBackend) {
   // Same seed => byte-identical Chrome trace JSON, for every registered
-  // backend, with the sim kernel attached (real ticks) -- the determinism
+  // backend, with a latency model attached (real ticks) -- the determinism
   // guarantee that makes traces diffable artifacts.
   for (const std::string& name : overlay::RegisteredNames()) {
     std::string runs[2];
     for (int run = 0; run < 2; ++run) {
       Built b = Grow(name, 32, 7);
-      sim::EventQueue queue;
+      sim::Clock clock;
       sim::UniformLatency link(5, 20);
-      b.ov->AttachLatency(&queue, &link, 13);
+      b.ov->AttachLatency(&clock, &link, 13);
       Observer obs(/*tracing=*/true);
       b.ov->AttachObserver(&obs);
       workload::Trace trace = MixedTrace(7, 32);

@@ -2,7 +2,8 @@
 // flags, the OpStats accounting contract (OpStats::messages == the raw
 // net::Network counter delta for every operation, on every backend), and
 // the cross-backend differential property: two order-preserving backends
-// replaying the same trace return identical query answer sets.
+// replaying the same trace return identical query answer sets. Also pins
+// workload::Replay's guard that keeps kMinMembers members alive.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -320,6 +321,27 @@ TEST(OverlayDifferential, ReplayAggregatesMatchNetworkTotals) {
     EXPECT_EQ(per_op_sum, raw);
     b.ov->CheckInvariants();
   }
+}
+
+TEST(Replay, MembershipOpsStopAtMinMembers) {
+  auto b = Grow("baton", 6, 19);
+  // Six members, four leaves then two failures: only the first two leaves
+  // run before the overlay is down to kMinMembers.
+  workload::Trace trace(4, {workload::OpType::kLeave, 0, 0});
+  trace.resize(6, {workload::OpType::kFail, 0, 0});
+
+  Rng replay_rng(23);
+  auto res = workload::Replay(*b.ov, trace, &replay_rng, &b.members);
+  const workload::OpAggregate& leaves = res.of(workload::OpType::kLeave);
+  const workload::OpAggregate& fails = res.of(workload::OpType::kFail);
+  EXPECT_EQ(leaves.count, 2u);
+  EXPECT_EQ(leaves.ok, 2u);
+  EXPECT_EQ(leaves.skipped, 2u);
+  EXPECT_EQ(fails.count, 0u);
+  EXPECT_EQ(fails.skipped, 2u);
+  EXPECT_EQ(b.members.size(), workload::kMinMembers);
+  EXPECT_EQ(b.ov->size(), workload::kMinMembers);
+  b.ov->CheckInvariants();
 }
 
 }  // namespace

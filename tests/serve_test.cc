@@ -13,6 +13,7 @@
 #include "serve/arrivals.h"
 #include "serve/engine.h"
 #include "serve/node_model.h"
+#include "sim/clock.h"
 #include "sim/latency.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -63,21 +64,6 @@ TEST(Arrivals, PoissonIsDeterministicPerSeedAndNonDecreasing) {
   // 200 draws at mean gap 10: the long-run rate should be in the ballpark.
   EXPECT_GT(prev, 1000u);
   EXPECT_LT(prev, 4000u);
-}
-
-TEST(Arrivals, TraceReplaysAndExtendsWithTailGap) {
-  serve::TraceArrivals a({5, 5, 8, 20});
-  EXPECT_EQ(a.Next(), 5u);
-  EXPECT_EQ(a.Next(), 5u);
-  EXPECT_EQ(a.Next(), 8u);
-  EXPECT_EQ(a.Next(), 20u);
-  // Beyond the schedule: the final gap (20 - 8 = 12) repeats.
-  EXPECT_EQ(a.Next(), 32u);
-  EXPECT_EQ(a.Next(), 44u);
-}
-
-TEST(ArrivalsDeathTest, TraceRejectsDecreasingTimes) {
-  EXPECT_DEATH(serve::TraceArrivals({5, 3}), "non-decreasing");
 }
 
 // ---------- NodeModel ----------
@@ -437,14 +423,14 @@ TEST(Engine, RestoresObserverChainAndFeedsIt) {
 
 TEST(Engine, ComposesWithAttachedSimKernel) {
   // With a latency model attached (the per-op critical-path machinery), the
-  // engine must leave that kernel's queue alone -- and the per-op latency
+  // engine must leave the network's clock alone -- and the per-op latency
   // aggregates must match what sequential Replay measures.
   Built ground = Grow("baton", 40, 23);
   Built served = Grow("baton", 40, 23);
-  sim::EventQueue gq, sq;
+  sim::Clock ground_clock, served_clock;
   sim::ConstantLatency lat(3);
-  ground.ov->AttachLatency(&gq, &lat, 77);
-  served.ov->AttachLatency(&sq, &lat, 77);
+  ground.ov->AttachLatency(&ground_clock, &lat, 77);
+  served.ov->AttachLatency(&served_clock, &lat, 77);
 
   workload::UniformKeys gen(1, 100000);
   workload::Trace trace = ExactTrace(100, &gen, 9);
@@ -459,7 +445,7 @@ TEST(Engine, ComposesWithAttachedSimKernel) {
   EngineResult got = engine.RunClosedLoop(trace, &r2);
 
   ExpectAggregatesEqual(got.replay, expected);
-  EXPECT_GT(got.replay.total_latency, 0u);  // the sim kernel kept measuring
+  EXPECT_GT(got.replay.total_latency, 0u);  // the latency model kept measuring
 }
 
 TEST(Engine, PublishesServeMetrics) {

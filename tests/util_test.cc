@@ -80,12 +80,6 @@ TEST(Rng, ShuffleIsPermutation) {
   EXPECT_EQ(v, orig);
 }
 
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng a(23);
-  Rng child = a.Fork();
-  EXPECT_NE(a.Next(), child.Next());
-}
-
 TEST(Rng, Mix64IsStable) {
   EXPECT_EQ(Mix64(1), Mix64(1));
   EXPECT_NE(Mix64(1), Mix64(2));

@@ -94,6 +94,7 @@ from . import no_const_cast      # noqa: E402
 from . import check_side_effects  # noqa: E402
 from . import check_float_format  # noqa: E402
 from . import adapter_surface    # noqa: E402
+from . import benchsuite_shims   # noqa: E402
 
 ALL_RULES = [
     nondeterminism,
@@ -105,4 +106,5 @@ ALL_RULES = [
     check_side_effects,
     check_float_format,
     adapter_surface,
+    benchsuite_shims,
 ]

@@ -2,9 +2,8 @@
 
 Bench tables are diffed byte-for-byte across PRs, so the only code allowed
 to write to stdout is the bench harness itself (src/bench_common/, which
-owns table emission), the bench/example binaries, and util/logging (whose
-sink is configurable and defaults to stderr). A stray std::cout in a
-protocol path would interleave with -- and corrupt -- the table stream.
+owns table emission) and the bench/example binaries. A stray std::cout in
+a protocol path would interleave with -- and corrupt -- the table stream.
 stderr diagnostics (fprintf(stderr, ...), BATON_CHECK) are fine.
 """
 
@@ -13,12 +12,10 @@ import re
 from . import grep
 
 NAME = "io-discipline"
-DESCRIPTION = ("bans std::cout/printf/puts in src/ outside bench_common "
-               "and util/logging")
+DESCRIPTION = "bans std::cout/printf/puts in src/ outside bench_common"
 
 _ALLOWED_PREFIXES = (
     "src/bench_common/",
-    "src/util/logging",
 )
 
 _PATTERN = re.compile(
@@ -40,5 +37,5 @@ def check(tree):
         for lineno, _ in grep(tree, path, _PATTERN):
             yield Finding(
                 NAME, path, lineno,
-                "stdout write outside the bench harness: route through "
-                "util/logging or return data to the caller")
+                "stdout write outside the bench harness: write to stderr "
+                "or return data to the caller")

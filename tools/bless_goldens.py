@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Golden-output guard for the bench binaries.
+"""Golden-output guard for the bench and example binaries.
 
-Every entry below runs one bench at reduced scale (--sizes=200,1000
---seeds=1) in a fresh temporary directory and compares its stdout -- plus
-any artifact files the command line asks for -- byte for byte with the
-checked-in copies under tests/golden/. Message counts, hops and simulated
+Every bench entry below runs one bench at reduced scale (--sizes=200,1000
+--seeds=1), and every example entry runs one example as is (the examples
+ignore argv and fix their own scale), in a fresh temporary directory. Each
+compares its stdout -- plus any artifact files the run writes -- byte for
+byte with the checked-in copies under tests/golden/. Message counts, hops and simulated
 ticks are deterministic per seed, so any difference is a behaviour change.
 Artifacts too large to check in (the Chrome trace runs to tens of MB) are
 kept as a SHA-256 digest plus byte count: still a byte-exact comparison,
@@ -37,7 +38,7 @@ SCALE = ["--sizes=200,1000", "--seeds=1"]
 DIGEST_OVER_BYTES = 256 * 1024
 
 # name -> (binary, extra args, artifact files the args make the bench write)
-GOLDENS = {
+BENCHES = {
     "fig8a_join_leave": ("bench_fig8a_join_leave", [], []),
     "fig8b_update_tables": ("bench_fig8b_update_tables", [], []),
     "fig8c_insert_delete": ("bench_fig8c_insert_delete", [], []),
@@ -71,6 +72,19 @@ GOLDENS = {
     ),
 }
 
+# name -> (binary, extra args, artifact files the example writes)
+EXAMPLES = {
+    "quickstart": ("quickstart", [], []),
+    "churn_and_failures": ("churn_and_failures", [], []),
+    "distributed_index": ("distributed_index", [], []),
+    "event_driven_sim": ("event_driven_sim", [], []),
+    "load_balancing_demo": ("load_balancing_demo", [], []),
+    "observability_demo": (
+        "observability_demo", [], ["observability_demo_trace.json"]),
+}
+
+GOLDENS = {**BENCHES, **EXAMPLES}
+
 
 def golden_path(name, artifact=None):
     suffix = "stdout" if artifact is None else artifact
@@ -89,8 +103,9 @@ def run(bin_dir, name):
     """Runs entry `name`; returns {golden path: produced bytes}."""
     binary, args, artifacts = GOLDENS[name]
     exe = os.path.join(os.path.abspath(bin_dir), binary)
+    scale = SCALE if name in BENCHES else []
     with tempfile.TemporaryDirectory(prefix=f"golden_{name}_") as cwd:
-        proc = subprocess.run([exe] + SCALE + args, cwd=cwd,
+        proc = subprocess.run([exe] + scale + args, cwd=cwd,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         if proc.returncode != 0:
             sys.stderr.write(proc.stderr.decode(errors="replace"))

@@ -2,7 +2,8 @@
 // identical workload, driven entirely through the generic overlay::Overlay
 // interface + workload::Replay -- no per-backend wiring. This is the
 // one-binary replacement for the comparison plumbing the fig8 benches used
-// to duplicate: add a backend to overlay::Register and it shows up here.
+// to duplicate: add a row to the backend table in overlay/registry.cc and
+// it shows up here.
 //
 // Per backend and network size the bench builds the overlay (preloading
 // order-preserving backends while they grow), replays the same mixed

@@ -7,6 +7,7 @@
 // because routing runs sideways and through leaf levels, not through the
 // root as in a centralized tree.
 #include <map>
+#include <vector>
 
 #include "bench_common/experiment.h"
 #include "overlay/baton_overlay.h"
@@ -15,6 +16,28 @@
 namespace baton {
 namespace bench {
 namespace {
+
+/// Messages of one category processed by (delivered to) each live
+/// receiver. Attached to the network for one measured phase only; no peer
+/// registers during a phase.
+class CategoryLoad : public net::MessageObserver {
+ public:
+  CategoryLoad(const net::Network& net, net::MsgCategory category)
+      : net_(net), category_(category), processed_(net.num_registered()) {}
+
+  void OnMessage(net::PeerId /*from*/, net::PeerId to, net::MsgType type,
+                 uint64_t /*send_tick*/, uint64_t /*deliver_tick*/) override {
+    if (net::CategoryOf(type) == category_ && net_.IsAlive(to)) {
+      ++processed_.at(to);
+    }
+  }
+  uint64_t ProcessedBy(net::PeerId p) const { return processed_.at(p); }
+
+ private:
+  const net::Network& net_;
+  net::MsgCategory category_;
+  std::vector<uint64_t> processed_;
+};
 
 void Run(const Options& opt) {
   const size_t n = opt.sizes.empty() ? 4000 : opt.sizes.back();
@@ -32,26 +55,28 @@ void Run(const Options& opt) {
     const BatonNetwork& tree = overlay::BatonBackend(*bi.overlay);
 
     // Insertion phase: keys_per_node additional keys per node on average.
-    bi.net()->ResetPerPeerCounters();
+    CategoryLoad inserts(*bi.net(), net::MsgCategory::kData);
+    bi.net()->AttachObserver(&inserts);
     LoadOverlay(&bi, opt.keys_per_node, &keys, &rng);
+    bi.net()->AttachObserver(nullptr);
     std::map<int, RunningStat> ins_this;
     for (net::PeerId p : bi.members) {
       int level = static_cast<int>(tree.node(p).pos.level);
-      ins_this[level].Add(static_cast<double>(
-          bi.net()->ProcessedBy(p, net::MsgCategory::kData)));
+      ins_this[level].Add(static_cast<double>(inserts.ProcessedBy(p)));
     }
 
     // Search phase: `queries` exact-match queries from random origins.
-    bi.net()->ResetPerPeerCounters();
+    CategoryLoad searches(*bi.net(), net::MsgCategory::kQuery);
+    bi.net()->AttachObserver(&searches);
     for (int i = 0; i < 10 * opt.queries; ++i) {
       auto res = bi.overlay->ExactSearch(
           bi.members[rng.NextBelow(bi.members.size())], keys.Next(&rng));
       BATON_CHECK(res.ok());
     }
+    bi.net()->AttachObserver(nullptr);
     for (net::PeerId p : bi.members) {
       int level = static_cast<int>(tree.node(p).pos.level);
-      search_load[level].Add(static_cast<double>(
-          bi.net()->ProcessedBy(p, net::MsgCategory::kQuery)));
+      search_load[level].Add(static_cast<double>(searches.ProcessedBy(p)));
       insert_load[level].Add(ins_this[level].mean());
       ++level_nodes[level];
     }

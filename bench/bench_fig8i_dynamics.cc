@@ -6,6 +6,7 @@
 //
 // Expected shape: extra messages grow with the number of concurrent changes.
 #include "bench_common/experiment.h"
+#include "overlay/baton_overlay.h"
 #include "util/stats.h"
 
 namespace baton {
@@ -28,9 +29,10 @@ void Run(const Options& opt) {
       Rng rng(Mix64(seed ^ 0x92));
       auto bi = BuildOverlay("baton", n, seed, BalancedOverlayConfig(),
                              opt.keys_per_node, &keys);
+      BatonNetwork& tree = overlay::BatonBackend(*bi.overlay);
 
       // Apply K membership changes whose remote notifications stay queued.
-      bi.net()->SetDeferUpdates(true);
+      tree.SetDeferUpdates(true);
       int applied = 0;
       for (int i = 0; i < churn; ++i) {
         if (rng.NextBool(0.5)) {
@@ -64,8 +66,8 @@ void Run(const Options& opt) {
       fails[ci].Add(100.0 * failed / opt.queries);
 
       // Updates drain; the overlay converges again.
-      bi.net()->FlushDeferred();
-      bi.net()->SetDeferUpdates(false);
+      tree.FlushDeferred();
+      tree.SetDeferUpdates(false);
     }
   }
 

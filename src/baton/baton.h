@@ -13,12 +13,12 @@
 #define BATON_BATON_BATON_H_
 
 #include "baton/baton_network.h"
-#include "baton/key_bag.h"
 #include "baton/node.h"
 #include "baton/position.h"
-#include "baton/types.h"
 #include "net/message.h"
 #include "net/network.h"
+#include "util/key_bag.h"
+#include "util/keys.h"
 #include "util/status.h"
 
 #endif  // BATON_BATON_BATON_H_

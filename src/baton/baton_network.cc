@@ -176,9 +176,23 @@ void BatonNetwork::ApplyRefUpdate(PeerId holder_id, RefKind kind, int slot,
 
 void BatonNetwork::SendRefUpdate(PeerId holder, RefKind kind, int slot,
                                  NodeRef payload) {
-  net_->Apply([this, holder, kind, slot, payload]() {
+  if (defer_updates_) {
+    deferred_.push_back({holder, kind, slot, payload});
+  } else {
     ApplyRefUpdate(holder, kind, slot, payload);
-  });
+  }
+}
+
+size_t BatonNetwork::FlushDeferred() {
+  // ApplyRefUpdate sends nothing, so one pass in send order drains the
+  // queue. It is swapped out first so that a send during the pass could
+  // never grow the vector being iterated.
+  std::vector<RefUpdate> pending;
+  pending.swap(deferred_);
+  for (const RefUpdate& u : pending) {
+    ApplyRefUpdate(u.holder, u.kind, u.slot, u.payload);
+  }
+  return pending.size();
 }
 
 void BatonNetwork::RefreshInboundRefs(BatonNode* x, net::MsgType charge) {
@@ -214,7 +228,7 @@ void BatonNetwork::RefreshInboundRefsUncharged(BatonNode* x) {
 }
 
 void BatonNetwork::RepairAllLinks() {
-  BATON_CHECK(!net_->defer_updates()) << "flush before repairing";
+  BATON_CHECK(!defer_updates_) << "flush before repairing";
   std::vector<PeerId> order = Members();
   for (size_t i = 0; i < order.size(); ++i) {
     BatonNode* n = N(order[i]);

@@ -22,12 +22,12 @@
 
 #include "baton/node.h"
 #include "baton/position.h"
-#include "baton/types.h"
 #include "net/message.h"
 #include "net/network.h"
 #include "replication/replication.h"
 #include "util/flat_map.h"
 #include "util/histogram.h"
+#include "util/keys.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -197,6 +197,19 @@ class BatonNetwork {
     return *repl_;
   }
 
+  // ------------------------------------------------------------------
+  // Update-propagation delay (network dynamics, Fig 8(i)).
+  // ------------------------------------------------------------------
+
+  /// While deferring, remote link-cache updates are queued instead of
+  /// applied. This models "it takes some time for the network to update
+  /// knowledge of joining or leaving nodes".
+  void SetDeferUpdates(bool defer) { defer_updates_ = defer; }
+  bool defer_updates() const { return defer_updates_; }
+  /// Applies every queued update in send order; returns how many there were.
+  size_t FlushDeferred();
+  size_t deferred_pending() const { return deferred_.size(); }
+
   net::Network* network() { return net_; }
   Rng* rng() { return &rng_; }
   const BatonConfig& config() const { return config_; }
@@ -235,10 +248,17 @@ class BatonNetwork {
   /// payload.peer == kNullPeer means "clear the ref if it still points at
   /// payload.pos".
   void ApplyRefUpdate(PeerId holder, RefKind kind, int slot, NodeRef payload);
-  /// Runs ApplyRefUpdate now, or queues it while the network defers updates
-  /// (propagation delay, Fig 8(i)). The payload is captured by value: it is
-  /// the message content at send time.
+  /// Runs ApplyRefUpdate now, or queues it while updates are deferred
+  /// (propagation delay, Fig 8(i)). The payload is copied: it is the
+  /// message content at send time.
   void SendRefUpdate(PeerId holder, RefKind kind, int slot, NodeRef payload);
+  /// One queued SendRefUpdate.
+  struct RefUpdate {
+    PeerId holder;
+    RefKind kind;
+    int slot;
+    NodeRef payload;
+  };
 
   /// Calls fn(holder, ref) for every link in the overlay pointing at x
   /// (parent's child ref, children's parent refs, adjacents' refs, reverse
@@ -420,6 +440,9 @@ class BatonNetwork {
   /// its result is independent of this container's enumeration order.
   util::FlatMap64<PeerId> recruit_dir_;
   std::vector<PeerId> failed_;
+
+  bool defer_updates_ = false;
+  std::vector<RefUpdate> deferred_;
 
   uint64_t total_keys_ = 0;
   Histogram shift_sizes_;

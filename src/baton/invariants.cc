@@ -12,6 +12,7 @@
 //    target's true position, range and child bits.
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "baton/baton_network.h"
 
@@ -36,7 +37,7 @@ void CheckRefMatches(const NodeRef& ref, const BatonNode& target,
 }  // namespace
 
 void BatonNetwork::CheckInvariants() const {
-  BATON_CHECK_EQ(net_->deferred_pending(), 0u)
+  BATON_CHECK_EQ(deferred_.size(), 0u)
       << "flush deferred updates before checking invariants";
   if (size() == 0) return;
   BATON_CHECK_NE(root(), kNullPeer) << "non-empty overlay must have a root";

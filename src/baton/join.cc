@@ -40,7 +40,7 @@ PeerId BatonNetwork::FindJoinNode(PeerId contact, int* hops) {
     if (--guard < 0) {
       // Under deferred updates (network dynamics, Fig 8(i)) stale caches can
       // starve the search; surface it instead of asserting.
-      BATON_CHECK(net_->defer_updates()) << "join routing did not terminate";
+      BATON_CHECK(defer_updates_) << "join routing did not terminate";
       return kNullPeer;
     }
     // Accept when both routing tables are full but a child slot is free
@@ -110,7 +110,7 @@ PeerId BatonNetwork::FindJoinNode(PeerId contact, int* hops) {
       Count(n->id, cand, net::MsgType::kDeadProbe);
     }
     if (next == kNullPeer) {
-      BATON_CHECK(net_->defer_updates()) << "join routing hit a dead end";
+      BATON_CHECK(defer_updates_) << "join routing hit a dead end";
       return kNullPeer;
     }
     Count(n->id, next, net::MsgType::kJoinForward);

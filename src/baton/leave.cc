@@ -231,7 +231,7 @@ PeerId BatonNetwork::RunFindReplacement(BatonNode* start, int* hops) {
   int guard = config_.max_hops_factor * (Height() + 2) + 8;
   while (true) {
     if (--guard < 0) {
-      BATON_CHECK(net_->defer_updates()) << "FindReplacement did not terminate";
+      BATON_CHECK(defer_updates_) << "FindReplacement did not terminate";
       return kNullPeer;
     }
     BatonNode* deeper = nullptr;
@@ -279,7 +279,7 @@ void BatonNetwork::ReplaceNode(BatonNode* x, BatonNode* z, bool content_lost) {
   // Under deferred updates stale child bits can make an actually-unsafe leaf
   // look safe; structurally the replacement still works (transient imbalance
   // the network repairs as updates propagate).
-  if (!net_->defer_updates()) {
+  if (!defer_updates_) {
     BATON_CHECK(SafeToRemove(z)) << "Algorithm 2 must return a safe leaf";
   }
   // A failed node's keys are gone (unless the caller already restored them

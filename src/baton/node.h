@@ -9,11 +9,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "baton/key_bag.h"
 #include "baton/position.h"
-#include "baton/types.h"
 #include "net/network.h"
 #include "util/check.h"
+#include "util/key_bag.h"
+#include "util/keys.h"
 
 namespace baton {
 

@@ -23,7 +23,7 @@ namespace baton {
 
 int BatonNetwork::ForcedJoin(BatonNode* x, BatonNode* y, bool splice_before,
                              bool prefer_right) {
-  BATON_CHECK(!net_->defer_updates())
+  BATON_CHECK(!defer_updates_)
       << "restructuring requires immediate link updates";
   y->in_overlay = true;
   SplitContent(x, y, /*as_left=*/splice_before);
@@ -88,7 +88,7 @@ bool BatonNetwork::TryBuildJoinChain(BatonNode* y, bool rightward,
 
 int BatonNetwork::FillVacancy(const Position& vacated, BatonNode* pred_hint,
                               BatonNode* succ_hint, bool prefer_left) {
-  BATON_CHECK(!net_->defer_updates())
+  BATON_CHECK(!defer_updates_)
       << "restructuring requires immediate link updates";
   BatonNode* first = prefer_left ? pred_hint : succ_hint;
   BatonNode* second = prefer_left ? succ_hint : pred_hint;

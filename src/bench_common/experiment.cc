@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "obs/trace.h"
+#include "util/json.h"
 
 namespace baton {
 namespace bench {
@@ -39,28 +40,6 @@ void CloseJsonMirror() {
   // The array terminator is already on disk; just release the handle.
   std::fclose(g_json.file);
   g_json.file = nullptr;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// True when the cell can be emitted as a JSON number verbatim (the strict

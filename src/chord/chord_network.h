@@ -15,10 +15,10 @@
 #include <memory>
 #include <vector>
 
-#include "baton/key_bag.h"
-#include "baton/types.h"
 #include "net/network.h"
 #include "util/flat_map.h"
+#include "util/key_bag.h"
+#include "util/keys.h"
 #include "util/rng.h"
 #include "util/status.h"
 

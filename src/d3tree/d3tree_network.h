@@ -28,9 +28,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "baton/key_bag.h"
-#include "baton/types.h"
 #include "net/network.h"
+#include "util/key_bag.h"
+#include "util/keys.h"
 #include "util/status.h"
 
 namespace baton {

@@ -10,7 +10,6 @@ namespace net {
 PeerId Network::Register() {
   PeerId id = static_cast<PeerId>(alive_.size());
   alive_.push_back(true);
-  processed_.push_back({});
   frontier_.push_back({});
   ++num_alive_;
   return id;
@@ -53,12 +52,6 @@ void Network::Count(PeerId from, PeerId to, MsgType type) {
 void Network::CountOne(PeerId from, PeerId to, MsgType type, bool dropped) {
   ++snapshot_.total;
   ++snapshot_.by_type[static_cast<size_t>(type)];
-  // A message is "processed by" its receiver; dead receivers process nothing
-  // (the sender's timeout is what costs, and it was already counted above).
-  // A dropped message likewise never reaches the receiver.
-  if (alive_[to] && !dropped) {
-    ++processed_[to][static_cast<size_t>(CategoryOf(type))];
-  }
   // Observability event ticks: virtual times on the sim clock when a
   // latency model is attached, otherwise the (just-incremented) global
   // message index -- either way causally ordered and fully deterministic.
@@ -133,27 +126,6 @@ sim::Time Network::EndOpWindow() {
   window_start_ = sim_clock_->now();
   horizon_ = 0;
   return h;
-}
-
-uint64_t Network::ProcessedBy(PeerId p, MsgCategory c) const {
-  BATON_CHECK_LT(p, processed_.size());
-  return processed_[p][static_cast<size_t>(c)];
-}
-
-void Network::ResetPerPeerCounters() {
-  for (auto& row : processed_) row.fill(0);
-}
-
-size_t Network::FlushDeferred() {
-  size_t n = 0;
-  // Updates queued while flushing run too (they model follow-on repairs).
-  while (!deferred_.empty()) {
-    auto fn = std::move(deferred_.front());
-    deferred_.pop_front();
-    fn();
-    ++n;
-  }
-  return n;
 }
 
 }  // namespace net

@@ -8,8 +8,6 @@
 // The network also provides:
 //  * liveness tracking (peers can fail; sending to a dead peer is a wasted
 //    message that the caller must detect and recover from),
-//  * a deferred-update facility modelling update-propagation delay for the
-//    network-dynamics experiment (Fig. 8(i)),
 //  * an optional latency attachment: with a sim::Clock + LatencyModel
 //    attached, Count() also samples the message's link latency and
 //    maintains a per-peer "message available at" frontier, so an
@@ -18,14 +16,17 @@
 //    and EndOpWindow advances the clock to the operation's completion.
 //    Message counters are unaffected, and no protocol rng is touched: with
 //    no model attached, behaviour is bit-for-bit identical to a build
-//    without latency support.
+//    without latency support,
+//  * fault-injection and observer hooks, each consulted once per counted
+//    message when attached.
+//
+// Per-peer load tallies (Fig. 8(f)) are an observer's job, and the delayed
+// link updates of Fig. 8(i) are queued by BATON itself.
 #ifndef BATON_NET_NETWORK_H_
 #define BATON_NET_NETWORK_H_
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "net/message.h"
@@ -131,9 +132,6 @@ class Network {
   uint64_t MessagesOfType(MsgType t) const {
     return snapshot_.by_type[static_cast<size_t>(t)];
   }
-  /// Messages *processed by* (i.e. delivered to) a peer, for the access-load
-  /// experiment (Fig. 8(f)). Indexed by category.
-  uint64_t ProcessedBy(PeerId p, MsgCategory c) const;
 
   CounterSnapshot Snapshot() const { return snapshot_; }
   static uint64_t Delta(const CounterSnapshot& before,
@@ -145,9 +143,6 @@ class Network {
     size_t i = static_cast<size_t>(t);
     return after.by_type[i] - before.by_type[i];
   }
-
-  /// Reset only the per-peer processed counts (keeps global totals).
-  void ResetPerPeerCounters();
 
   // ---- Simulated latency (sim/ attachment) ---------------------------------
   /// Attaches a latency model: every subsequent Count() samples a link
@@ -208,41 +203,11 @@ class Network {
   uint64_t window_dropped() const { return window_dropped_; }
   uint64_t window_duplicated() const { return window_duplicated_; }
 
-  // ---- Deferred updates (network dynamics, Fig. 8(i)) ----------------------
-  /// While deferring, Apply() queues the closure instead of running it.
-  /// This models "it takes some time for the network to update knowledge of
-  /// joining or leaving nodes".
-  void SetDeferUpdates(bool defer) { defer_updates_ = defer; }
-  bool defer_updates() const { return defer_updates_; }
-  /// Run `fn` now, or queue it if updates are deferred. Immediate mode (the
-  /// overwhelmingly common path: deferral is only on during the Fig. 8(i)
-  /// dynamics windows) invokes the closure in place -- no std::function is
-  /// constructed, so the call never allocates. Only the deferred path pays
-  /// for type erasure; its queue semantics are unchanged.
-  template <typename Fn>
-  void Apply(Fn&& fn) {
-    if (defer_updates_) {
-      deferred_.emplace_back(std::forward<Fn>(fn));
-    } else {
-      fn();
-    }
-  }
-  /// Deliver all queued updates (in order); returns how many ran.
-  size_t FlushDeferred();
-  size_t deferred_pending() const { return deferred_.size(); }
-
  private:
   std::vector<bool> alive_;
   size_t num_alive_ = 0;
 
   CounterSnapshot snapshot_;
-  // per-peer processed messages, by coarse category. Derived from the enum's
-  // last entry so adding a category can never desync the array dimension.
-  static constexpr int kNumCategories = static_cast<int>(MsgCategory::kOther) + 1;
-  std::vector<std::array<uint64_t, kNumCategories>> processed_;
-
-  bool defer_updates_ = false;
-  std::deque<std::function<void()>> deferred_;
 
   MessageObserver* observer_ = nullptr;
 

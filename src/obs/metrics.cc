@@ -1,36 +1,13 @@
 #include "obs/metrics.h"
 
-#include <cstdio>
 #include <sstream>
+
+#include "util/json.h"
 
 namespace baton {
 namespace obs {
 
 namespace {
-
-/// Minimal JSON string escape (metric names are plain identifiers, but the
-/// writer must never emit invalid JSON whatever the caller named things).
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void AppendHistJson(std::ostream& out, const LogHistogram& h) {
   out << "{\"count\": " << h.count() << ", \"mean\": " << h.Mean()
@@ -116,19 +93,19 @@ void Registry::AppendJson(std::ostream& out) const {
   out << "{\"counters\": {";
   bool first = true;
   for (const auto& [name, v] : counters_) {
-    out << (first ? "" : ", ") << "\"" << Escape(name) << "\": " << v;
+    out << (first ? "" : ", ") << "\"" << JsonEscape(name) << "\": " << v;
     first = false;
   }
   out << "}, \"gauges\": {";
   first = true;
   for (const auto& [name, v] : gauges_) {
-    out << (first ? "" : ", ") << "\"" << Escape(name) << "\": " << v;
+    out << (first ? "" : ", ") << "\"" << JsonEscape(name) << "\": " << v;
     first = false;
   }
   out << "}, \"histograms\": {";
   first = true;
   for (const auto& [name, h] : hists_) {
-    out << (first ? "" : ", ") << "\"" << Escape(name) << "\": ";
+    out << (first ? "" : ", ") << "\"" << JsonEscape(name) << "\": ";
     AppendHistJson(out, h);
     first = false;
   }
@@ -136,7 +113,7 @@ void Registry::AppendJson(std::ostream& out) const {
   first = true;
   for (const auto& [family, vec] : per_node_) {
     LogHistogram dist = NodeLoad(family, vec.size());
-    out << (first ? "" : ", ") << "\"" << Escape(family)
+    out << (first ? "" : ", ") << "\"" << JsonEscape(family)
         << "\": {\"nodes\": " << vec.size() << ", \"sum\": " << dist.sum()
         << ", \"mean\": " << dist.Mean() << ", \"max\": " << dist.max()
         << ", \"p50\": " << dist.Quantile(0.50)

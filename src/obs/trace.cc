@@ -2,25 +2,10 @@
 
 #include "net/message.h"
 #include "util/check.h"
+#include "util/json.h"
 
 namespace baton {
 namespace obs {
-
-namespace {
-
-std::string EscapeLabel(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    // Labels are bench-generated ("baton N=200 seed=0"); control characters
-    // would be a caller bug, but never corrupt the JSON over it.
-    out += static_cast<unsigned char>(c) < 0x20 ? ' ' : c;
-  }
-  return out;
-}
-
-}  // namespace
 
 void TraceRecorder::BeginSpan(const char* name, uint64_t tick) {
   BATON_CHECK(!span_open_) << "op spans do not nest (open: " << open_.name
@@ -62,7 +47,7 @@ void WriteChromeTrace(std::ostream& out,
     sep();
     out << " {\"ph\": \"M\", \"pid\": " << pid
         << ", \"name\": \"process_name\", \"args\": {\"name\": \""
-        << EscapeLabel(proc.label) << "\"}}";
+        << JsonEscape(proc.label) << "\"}}";
     for (const OpSpan& s : proc.recorder->spans()) {
       sep();
       out << " {\"ph\": \"X\", \"pid\": " << pid << ", \"tid\": 0, \"ts\": "

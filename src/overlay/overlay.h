@@ -22,12 +22,12 @@
 #include <typeinfo>
 #include <vector>
 
-#include "baton/types.h"
 #include "cache/cache.h"
 #include "fault/fault.h"
 #include "net/network.h"
 #include "obs/observer.h"
 #include "util/check.h"
+#include "util/keys.h"
 #include "util/status.h"
 
 namespace baton {
@@ -126,8 +126,8 @@ class Overlay {
 
   /// The simulated physical network the backend is wired to. The base owns
   /// it, so it is constructed before and destroyed after any backend an
-  /// adapter builds on it. Exposed for liveness queries, per-peer counters,
-  /// deferred updates and type-filtered message accounting.
+  /// adapter builds on it. Exposed for liveness queries, message observers
+  /// and type-filtered message accounting.
   net::Network* network() { return &net_; }
   const net::Network* network() const { return &net_; }
 

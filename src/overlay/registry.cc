@@ -1,7 +1,5 @@
 #include "overlay/registry.h"
 
-#include <map>
-
 #include "overlay/baton_overlay.h"
 #include "overlay/chord_overlay.h"
 #include "overlay/d3tree_overlay.h"
@@ -12,52 +10,51 @@ namespace overlay {
 
 namespace {
 
-// Builtins are seeded here rather than via static registrar objects in the
-// adapter translation units: those initializers would be silently dropped
-// when the static library's unreferenced objects are not linked in.
-std::map<std::string, Factory>& Registry() {
-  static std::map<std::string, Factory> registry = {
-      {"baton",
-       [](const Config& cfg) -> std::unique_ptr<Overlay> {
-         return std::make_unique<BatonOverlay>(cfg.baton, cfg.seed);
-       }},
-      {"chord",
-       [](const Config& cfg) -> std::unique_ptr<Overlay> {
-         return std::make_unique<ChordOverlay>(cfg.seed);
-       }},
-      {"d3tree",
-       [](const Config& cfg) -> std::unique_ptr<Overlay> {
-         return std::make_unique<D3TreeOverlay>(cfg.d3tree, cfg.seed);
-       }},
-      {"multiway",
-       [](const Config& cfg) -> std::unique_ptr<Overlay> {
-         return std::make_unique<MultiwayOverlay>(cfg.multiway, cfg.seed);
-       }},
-  };
-  return registry;
+struct Backend {
+  const char* name;
+  std::unique_ptr<Overlay> (*make)(const Config& cfg);
+};
+
+// Sorted by name: RegisteredNames() returns this order, and multi-backend
+// tables print their rows in it.
+const Backend kBackends[] = {
+    {"baton",
+     [](const Config& cfg) -> std::unique_ptr<Overlay> {
+       return std::make_unique<BatonOverlay>(cfg.baton, cfg.seed);
+     }},
+    {"chord",
+     [](const Config& cfg) -> std::unique_ptr<Overlay> {
+       return std::make_unique<ChordOverlay>(cfg.seed);
+     }},
+    {"d3tree",
+     [](const Config& cfg) -> std::unique_ptr<Overlay> {
+       return std::make_unique<D3TreeOverlay>(cfg.d3tree, cfg.seed);
+     }},
+    {"multiway",
+     [](const Config& cfg) -> std::unique_ptr<Overlay> {
+       return std::make_unique<MultiwayOverlay>(cfg.multiway, cfg.seed);
+     }},
+};
+
+const Backend* Find(const std::string& name) {
+  for (const Backend& b : kBackends) {
+    if (name == b.name) return &b;
+  }
+  return nullptr;
 }
 
 }  // namespace
 
-void Register(const std::string& name, Factory factory) {
-  Registry()[name] = std::move(factory);
-}
-
 std::unique_ptr<Overlay> Make(const std::string& name, const Config& cfg) {
-  auto& registry = Registry();
-  auto it = registry.find(name);
-  if (it == registry.end()) return nullptr;
-  return it->second(cfg);
+  const Backend* b = Find(name);
+  return b == nullptr ? nullptr : b->make(cfg);
 }
 
-bool IsRegistered(const std::string& name) {
-  return Registry().count(name) != 0;
-}
+bool IsRegistered(const std::string& name) { return Find(name) != nullptr; }
 
 std::vector<std::string> RegisteredNames() {
   std::vector<std::string> names;
-  names.reserve(Registry().size());
-  for (const auto& [name, factory] : Registry()) names.push_back(name);
+  for (const Backend& b : kBackends) names.emplace_back(b.name);
   return names;
 }
 

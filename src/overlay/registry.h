@@ -1,12 +1,11 @@
 // Name-keyed overlay factory. overlay::Make("baton", cfg) constructs a
 // ready-to-bootstrap backend (each owns its own net::Network); benches and
 // tests sweep RegisteredNames() to run every backend through the same
-// driver. New backends (e.g. the ART or D3-Tree trees from PAPERS.md) call
-// Register() once and every generic bench picks them up.
+// code. A new backend (e.g. the ART tree from PAPERS.md) adds one row to
+// the table in registry.cc and every generic bench picks it up.
 #ifndef BATON_OVERLAY_REGISTRY_H_
 #define BATON_OVERLAY_REGISTRY_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,13 +29,6 @@ struct Config {
   /// "d3tree": domain and bucket (cluster) sizing.
   d3tree::D3Config d3tree;
 };
-
-using Factory =
-    std::function<std::unique_ptr<Overlay>(const Config& cfg)>;
-
-/// Registers `factory` under `name`; a later registration for the same name
-/// replaces the earlier one. "baton", "chord" and "multiway" are built in.
-void Register(const std::string& name, Factory factory);
 
 /// Constructs the backend registered under `name`, or nullptr if unknown.
 std::unique_ptr<Overlay> Make(const std::string& name,

@@ -23,11 +23,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "baton/key_bag.h"
-#include "baton/types.h"
 #include "net/message.h"
 #include "net/network.h"
 #include "util/flat_map.h"
+#include "util/key_bag.h"
+#include "util/keys.h"
 
 namespace baton {
 namespace replication {

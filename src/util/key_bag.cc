@@ -1,4 +1,4 @@
-#include "baton/key_bag.h"
+#include "util/key_bag.h"
 
 #include <algorithm>
 

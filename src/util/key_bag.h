@@ -2,13 +2,13 @@
 // (merged lazily). Nodes hold O(total/N) keys, so O(n) merges are cheap while
 // giving the order statistics load balancing needs (medians, range counts,
 // prefix extraction) without per-key allocation.
-#ifndef BATON_BATON_KEY_BAG_H_
-#define BATON_BATON_KEY_BAG_H_
+#ifndef BATON_UTIL_KEY_BAG_H_
+#define BATON_UTIL_KEY_BAG_H_
 
 #include <cstddef>
 #include <vector>
 
-#include "baton/types.h"
+#include "util/keys.h"
 
 namespace baton {
 
@@ -57,4 +57,4 @@ class KeyBag {
 
 }  // namespace baton
 
-#endif  // BATON_BATON_KEY_BAG_H_
+#endif  // BATON_UTIL_KEY_BAG_H_

@@ -1,6 +1,6 @@
-// Core value types for the BATON index: keys and half-open key ranges.
-#ifndef BATON_BATON_TYPES_H_
-#define BATON_BATON_TYPES_H_
+// Index value types shared by every overlay: keys and half-open key ranges.
+#ifndef BATON_UTIL_KEYS_H_
+#define BATON_UTIL_KEYS_H_
 
 #include <cstdint>
 #include <ostream>
@@ -40,4 +40,4 @@ inline std::ostream& operator<<(std::ostream& os, const Range& r) {
 
 }  // namespace baton
 
-#endif  // BATON_BATON_TYPES_H_
+#endif  // BATON_UTIL_KEYS_H_

@@ -8,7 +8,7 @@
 #include <memory>
 #include <vector>
 
-#include "baton/types.h"
+#include "util/keys.h"
 #include "util/rng.h"
 #include "util/zipf.h"
 

@@ -3,39 +3,24 @@
 #include <gtest/gtest.h>
 
 #include "baton/baton.h"
+#include "fixtures.h"
 
 namespace baton {
 namespace {
 
-struct Overlay {
-  net::Network net;
-  std::unique_ptr<BatonNetwork> overlay;
-  std::vector<PeerId> members;
-
-  explicit Overlay(uint64_t seed, BatonConfig cfg = {}) {
-    overlay = std::make_unique<BatonNetwork>(cfg, &net, seed);
-    members.push_back(overlay->Bootstrap());
-  }
-  void Grow(size_t n, Rng* rng) {
-    while (members.size() < n) {
-      auto joined = overlay->Join(members[rng->NextBelow(members.size())]);
-      ASSERT_TRUE(joined.ok());
-      members.push_back(joined.value());
-    }
-  }
-};
+using fixtures::Overlay;
 
 TEST(Dynamics, DeferredJoinLeavesStaleCachesUntilFlush) {
   Overlay o(1);
   Rng rng(1);
   o.Grow(32, &rng);
-  o.net.SetDeferUpdates(true);
+  o.overlay->SetDeferUpdates(true);
   auto joined = o.overlay->Join(o.members[5]);
   ASSERT_TRUE(joined.ok());
-  EXPECT_GT(o.net.deferred_pending(), 0u)
+  EXPECT_GT(o.overlay->deferred_pending(), 0u)
       << "third-party cache updates must be queued";
-  o.net.FlushDeferred();
-  o.net.SetDeferUpdates(false);
+  o.overlay->FlushDeferred();
+  o.overlay->SetDeferUpdates(false);
   o.members.push_back(joined.value());
   o.overlay->CheckInvariants();
 }
@@ -50,7 +35,7 @@ TEST(Dynamics, QueriesSucceedDuringChurnWindow) {
                              rng.UniformInt(1, 999999999))
                     .ok());
   }
-  o.net.SetDeferUpdates(true);
+  o.overlay->SetDeferUpdates(true);
   // Apply a churn batch with notifications in flight.
   for (int i = 0; i < 30; ++i) {
     if (rng.NextBool(0.5)) {
@@ -75,8 +60,8 @@ TEST(Dynamics, QueriesSucceedDuringChurnWindow) {
   // Most queries must still route (the paper's point is the EXTRA cost, not
   // unavailability); with 15% of the network in flight, some routes starve.
   EXPECT_GT(ok_count, kQ / 2);
-  o.net.FlushDeferred();
-  o.net.SetDeferUpdates(false);
+  o.overlay->FlushDeferred();
+  o.overlay->SetDeferUpdates(false);
   o.overlay->RepairAllLinks();  // the stabilisation pass converges the rest
   for (int i = 0; i < 100; ++i) {
     auto r = o.overlay->ExactSearch(
@@ -91,7 +76,7 @@ TEST(Dynamics, ChurnWindowCostsExtraMessages) {
     Overlay o(3);
     Rng rng(3);
     o.Grow(300, &rng);
-    o.net.SetDeferUpdates(true);
+    o.overlay->SetDeferUpdates(true);
     for (int i = 0; i < churn; ++i) {
       size_t idx = rng.NextBelow(o.members.size());
       if (o.overlay->Leave(o.members[idx]).ok()) {
@@ -109,7 +94,7 @@ TEST(Dynamics, ChurnWindowCostsExtraMessages) {
     }
     msgs = static_cast<double>(
         net::Network::Delta(before, o.net.Snapshot()));
-    o.net.FlushDeferred();
+    o.overlay->FlushDeferred();
     return msgs / std::max(done, 1);
   };
   double calm = run(0);
@@ -124,7 +109,7 @@ TEST(Dynamics, ApplyRefUpdateDropsMismatchedSlots) {
   Overlay o(4);
   Rng rng(4);
   o.Grow(64, &rng);
-  o.net.SetDeferUpdates(true);
+  o.overlay->SetDeferUpdates(true);
   auto joined = o.overlay->Join(o.members[10]);
   ASSERT_TRUE(joined.ok());
   o.members.push_back(joined.value());
@@ -136,8 +121,8 @@ TEST(Dynamics, ApplyRefUpdateDropsMismatchedSlots) {
     }
   }
   // Flushing stale updates must not corrupt anyone (defensive apply).
-  o.net.FlushDeferred();
-  o.net.SetDeferUpdates(false);
+  o.overlay->FlushDeferred();
+  o.overlay->SetDeferUpdates(false);
   o.overlay->RepairAllLinks();
   // The overlay may be transiently unbalanced after heavy churn, but all
   // queries must still work and caches converge for the current members.
@@ -151,12 +136,35 @@ TEST(Dynamics, ApplyRefUpdateDropsMismatchedSlots) {
   EXPECT_EQ(ok_count, 100);
 }
 
+TEST(Dynamics, FlushAppliesUpdatesInSendOrder) {
+  // A later update to the same link slot carries the newer value, so the
+  // queue must apply in send order: applied in reverse, a stale ref wins
+  // and the invariant checker catches it.
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    Overlay o(seed);
+    Rng rng(seed);
+    o.Grow(32, &rng);
+    o.overlay->SetDeferUpdates(true);
+    for (int i = 0; i < 2; ++i) {
+      auto joined =
+          o.overlay->Join(o.members[rng.NextBelow(o.members.size())]);
+      ASSERT_TRUE(joined.ok()) << "seed " << seed;
+      o.members.push_back(joined.value());
+    }
+    size_t pending = o.overlay->deferred_pending();
+    EXPECT_EQ(o.overlay->FlushDeferred(), pending) << "seed " << seed;
+    EXPECT_EQ(o.overlay->deferred_pending(), 0u) << "seed " << seed;
+    o.overlay->SetDeferUpdates(false);
+    o.overlay->CheckInvariants();
+  }
+}
+
 TEST(Dynamics, RepeatedChurnRoundsConverge) {
   Overlay o(5);
   Rng rng(5);
   o.Grow(100, &rng);
   for (int round = 0; round < 10; ++round) {
-    o.net.SetDeferUpdates(true);
+    o.overlay->SetDeferUpdates(true);
     for (int i = 0; i < 10; ++i) {
       if (rng.NextBool(0.5)) {
         auto joined =
@@ -169,8 +177,8 @@ TEST(Dynamics, RepeatedChurnRoundsConverge) {
         }
       }
     }
-    o.net.FlushDeferred();
-    o.net.SetDeferUpdates(false);
+    o.overlay->FlushDeferred();
+    o.overlay->SetDeferUpdates(false);
     o.overlay->RepairAllLinks();
     // After each quiet period, queries route normally from everywhere.
     for (int i = 0; i < 50; ++i) {

@@ -10,28 +10,12 @@
 #include <memory>
 
 #include "baton/baton.h"
+#include "fixtures.h"
 
 namespace baton {
 namespace {
 
-struct Overlay {
-  net::Network net;
-  std::unique_ptr<BatonNetwork> overlay;
-  std::vector<PeerId> members;
-
-  explicit Overlay(uint64_t seed, BatonConfig cfg = {}) {
-    overlay = std::make_unique<BatonNetwork>(cfg, &net, seed);
-    members.push_back(overlay->Bootstrap());
-  }
-  void Grow(size_t n, Rng* rng) {
-    while (members.size() < n) {
-      PeerId contact = members[rng->NextBelow(members.size())];
-      auto joined = overlay->Join(contact);
-      ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-      members.push_back(joined.value());
-    }
-  }
-};
+using fixtures::Overlay;
 
 /// Ground truth: the maximum occupied level, recomputed from scratch.
 int BruteHeight(const BatonNetwork& bn) {

@@ -5,31 +5,12 @@
 #include <cmath>
 
 #include "baton/baton.h"
+#include "fixtures.h"
 
 namespace baton {
 namespace {
 
-struct Overlay {
-  net::Network net;
-  std::unique_ptr<BatonNetwork> overlay;
-  std::vector<PeerId> members;
-
-  explicit Overlay(uint64_t seed, BatonConfig cfg = {}) {
-    overlay = std::make_unique<BatonNetwork>(cfg, &net, seed);
-    members.push_back(overlay->Bootstrap());
-  }
-  void Grow(size_t n, Rng* rng) {
-    while (members.size() < n) {
-      auto joined =
-          overlay->Join(members[rng->NextBelow(members.size())]);
-      ASSERT_TRUE(joined.ok());
-      members.push_back(joined.value());
-    }
-  }
-  void RemoveMember(PeerId p) {
-    members.erase(std::find(members.begin(), members.end(), p));
-  }
-};
+using fixtures::Overlay;
 
 TEST(Leave, LastNodeLeavesEmptyOverlay) {
   Overlay o(1);

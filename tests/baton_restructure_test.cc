@@ -7,27 +7,12 @@
 #include <map>
 
 #include "baton/baton.h"
+#include "fixtures.h"
 
 namespace baton {
 namespace {
 
-struct Overlay {
-  net::Network net;
-  std::unique_ptr<BatonNetwork> overlay;
-  std::vector<PeerId> members;
-
-  explicit Overlay(uint64_t seed, BatonConfig cfg = {}) {
-    overlay = std::make_unique<BatonNetwork>(cfg, &net, seed);
-    members.push_back(overlay->Bootstrap());
-  }
-  void Grow(size_t n, Rng* rng) {
-    while (members.size() < n) {
-      auto joined = overlay->Join(members[rng->NextBelow(members.size())]);
-      ASSERT_TRUE(joined.ok());
-      members.push_back(joined.value());
-    }
-  }
-};
+using fixtures::Overlay;
 
 BatonConfig Lb(size_t threshold) {
   BatonConfig cfg;

@@ -7,27 +7,13 @@
 #include <map>
 
 #include "baton/baton.h"
+#include "fixtures.h"
+#include "obs/observer.h"
 
 namespace baton {
 namespace {
 
-struct Overlay {
-  net::Network net;
-  std::unique_ptr<BatonNetwork> overlay;
-  std::vector<PeerId> members;
-
-  explicit Overlay(uint64_t seed, BatonConfig cfg = {}) {
-    overlay = std::make_unique<BatonNetwork>(cfg, &net, seed);
-    members.push_back(overlay->Bootstrap());
-  }
-  void Grow(size_t n, Rng* rng) {
-    while (members.size() < n) {
-      auto joined = overlay->Join(members[rng->NextBelow(members.size())]);
-      ASSERT_TRUE(joined.ok());
-      members.push_back(joined.value());
-    }
-  }
-};
+using fixtures::Overlay;
 
 TEST(Search, SingleNodeAnswersEverything) {
   Overlay o(1);
@@ -259,20 +245,25 @@ TEST(Search, NeverRoutesThroughRootUnlessDelivering) {
                              rng.UniformInt(1, 999999999))
                     .ok());
   }
-  o.net.ResetPerPeerCounters();
+  // Every message in the search-only window is an exact query, so the
+  // observer's per-node deliveries are the query load.
+  obs::Observer observer;
+  o.net.AttachObserver(&observer);
   const int kQ = 2560;
   for (int i = 0; i < kQ; ++i) {
     auto r = o.overlay->ExactSearch(o.members[rng.NextBelow(o.members.size())],
                                     rng.UniformInt(1, 999999999));
     ASSERT_TRUE(r.ok());
   }
+  o.net.AttachObserver(nullptr);
+  const obs::Registry& m = observer.metrics();
+  ASSERT_EQ(m.CounterValue("net.msgs.query"), m.CounterValue("net.messages"));
+  const std::vector<uint64_t>& msgs_in = *m.FindPerNode("node.msgs_in");
+  auto load = [&](PeerId p) { return p < msgs_in.size() ? msgs_in[p] : 0; };
   uint64_t total = 0;
-  for (PeerId m : o.members) {
-    total += o.net.ProcessedBy(m, net::MsgCategory::kQuery);
-  }
+  for (PeerId p : o.members) total += load(p);
   double avg = static_cast<double>(total) / static_cast<double>(o.members.size());
-  uint64_t root_load =
-      o.net.ProcessedBy(o.overlay->root(), net::MsgCategory::kQuery);
+  uint64_t root_load = load(o.overlay->root());
   EXPECT_LE(static_cast<double>(root_load), 8 * avg + 16)
       << "root must not be a relay hot spot";
 }

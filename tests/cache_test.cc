@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cache/cache.h"
+#include "fixtures.h"
 #include "obs/observer.h"
 #include "overlay/baton_overlay.h"
 #include "overlay/chord_overlay.h"
@@ -107,26 +108,8 @@ TEST(CacheManager, InvalidatePeerAndRange) {
 
 // ---- Overlay-level contract, on every registered backend -------------------
 
-struct Built {
-  std::unique_ptr<Overlay> ov;
-  std::vector<net::PeerId> members;
-};
-
-Built Grow(const std::string& name, size_t n, uint64_t seed) {
-  Config cfg;
-  cfg.seed = seed;
-  Built b;
-  b.ov = Make(name, cfg);
-  BATON_CHECK(b.ov != nullptr) << "unknown backend " << name;
-  Rng rng(Mix64(seed));
-  b.members.push_back(b.ov->Bootstrap());
-  while (b.members.size() < n) {
-    auto st = b.ov->Join(b.members[rng.NextBelow(b.members.size())]);
-    BATON_CHECK(st.ok()) << st.status.ToString();
-    b.members.push_back(st.peer);
-  }
-  return b;
-}
+using fixtures::Built;
+using fixtures::Grow;
 
 std::vector<Key> SomeKeys(uint64_t seed, int count) {
   workload::UniformKeys gen(1, kDomainHi);

@@ -169,7 +169,7 @@ TEST(InvariantCheckerDeathTest, DetectsPendingDeferredUpdates) {
   Overlay o(9);
   EXPECT_DEATH(
       {
-        o.net.SetDeferUpdates(true);
+        o.overlay->SetDeferUpdates(true);
         auto joined = o.overlay->Join(o.members[0]);
         (void)joined;
         o.overlay->CheckInvariants();  // must refuse while updates in flight

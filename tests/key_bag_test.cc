@@ -1,7 +1,7 @@
 // Unit tests for KeyBag (per-node key storage with order statistics).
 #include <gtest/gtest.h>
 
-#include "baton/key_bag.h"
+#include "util/key_bag.h"
 #include "util/rng.h"
 
 namespace baton {

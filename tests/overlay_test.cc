@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "fixtures.h"
 #include "overlay/baton_overlay.h"
 #include "overlay/chord_overlay.h"
 #include "overlay/multiway_overlay.h"
@@ -28,31 +29,13 @@ using overlay::Make;
 using overlay::OpStats;
 using overlay::Overlay;
 
-// Grows an overlay to n members via random contacts, mirroring the bench
-// builder (bench_common is not linked into tests).
-struct Built {
-  std::unique_ptr<Overlay> ov;
-  std::vector<net::PeerId> members;
-};
-
-Built Grow(const std::string& name, size_t n, uint64_t seed) {
-  Config cfg;
-  cfg.seed = seed;
-  Built b;
-  b.ov = Make(name, cfg);
-  BATON_CHECK(b.ov != nullptr) << "unknown backend " << name;
-  Rng rng(Mix64(seed));
-  b.members.push_back(b.ov->Bootstrap());
-  while (b.members.size() < n) {
-    auto st = b.ov->Join(b.members[rng.NextBelow(b.members.size())]);
-    BATON_CHECK(st.ok()) << st.status.ToString();
-    b.members.push_back(st.peer);
-  }
-  return b;
-}
+using fixtures::Built;
+using fixtures::Grow;
 
 TEST(OverlayRegistry, BuiltinsRegistered) {
   auto names = overlay::RegisteredNames();
+  // Multi-backend tables print their rows in this order.
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   EXPECT_TRUE(std::count(names.begin(), names.end(), "baton") == 1);
   EXPECT_TRUE(std::count(names.begin(), names.end(), "chord") == 1);
   EXPECT_TRUE(std::count(names.begin(), names.end(), "d3tree") == 1);
@@ -66,17 +49,6 @@ TEST(OverlayRegistry, BuiltinsRegistered) {
   }
   EXPECT_FALSE(overlay::IsRegistered("no-such-backend"));
   EXPECT_EQ(Make("no-such-backend"), nullptr);
-}
-
-TEST(OverlayRegistry, RegisterAddsBackend) {
-  overlay::Register("baton-alias", [](const Config& cfg) {
-    return std::make_unique<overlay::BatonOverlay>(cfg.baton, cfg.seed);
-  });
-  EXPECT_TRUE(overlay::IsRegistered("baton-alias"));
-  auto ov = Make("baton-alias");
-  ASSERT_NE(ov, nullptr);
-  ov->Bootstrap();
-  EXPECT_EQ(ov->size(), 1u);
 }
 
 TEST(OverlayRegistry, ConfigReachesBackend) {

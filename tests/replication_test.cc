@@ -8,26 +8,13 @@
 #include <set>
 
 #include "baton/baton.h"
+#include "fixtures.h"
 
 namespace baton {
 namespace {
 
-struct Overlay {
-  net::Network net;
-  std::unique_ptr<BatonNetwork> overlay;
-  std::vector<PeerId> members;
-
-  explicit Overlay(uint64_t seed, BatonConfig cfg = {}) {
-    overlay = std::make_unique<BatonNetwork>(cfg, &net, seed);
-    members.push_back(overlay->Bootstrap());
-  }
-  void Grow(size_t n, Rng* rng) {
-    while (members.size() < n) {
-      auto joined = overlay->Join(members[rng->NextBelow(members.size())]);
-      ASSERT_TRUE(joined.ok());
-      members.push_back(joined.value());
-    }
-  }
+struct Overlay : fixtures::Overlay {
+  using fixtures::Overlay::Overlay;
   std::vector<Key> InsertUniform(size_t count, Rng* rng) {
     std::vector<Key> keys;
     for (size_t i = 0; i < count; ++i) {
@@ -37,16 +24,6 @@ struct Overlay {
       keys.push_back(k);
     }
     return keys;
-  }
-  void RemoveMember(PeerId p) {
-    members.erase(std::find(members.begin(), members.end(), p));
-  }
-  std::vector<PeerId> Alive() const {
-    std::vector<PeerId> out;
-    for (PeerId m : members) {
-      if (net.IsAlive(m)) out.push_back(m);
-    }
-    return out;
   }
 };
 

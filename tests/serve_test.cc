@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "fixtures.h"
 #include "net/trail.h"
 #include "overlay/registry.h"
 #include "serve/arrivals.h"
@@ -122,28 +123,8 @@ TEST(NodeModel, ZeroServiceTicksIsNullModel) {
 
 // ---------- Engine ----------
 
-struct Built {
-  std::unique_ptr<overlay::Overlay> ov;
-  std::vector<net::PeerId> members;
-};
-
-/// Grows an overlay to n members via random contacts (bench_common is not
-/// linked into tests).
-Built Grow(const std::string& name, size_t n, uint64_t seed) {
-  overlay::Config cfg;
-  cfg.seed = seed;
-  Built b;
-  b.ov = overlay::Make(name, cfg);
-  BATON_CHECK(b.ov != nullptr) << "unknown backend " << name;
-  Rng rng(Mix64(seed));
-  b.members.push_back(b.ov->Bootstrap());
-  while (b.members.size() < n) {
-    auto st = b.ov->Join(b.members[rng.NextBelow(b.members.size())]);
-    BATON_CHECK(st.ok()) << st.status.ToString();
-    b.members.push_back(st.peer);
-  }
-  return b;
-}
+using fixtures::Built;
+using fixtures::Grow;
 
 workload::Trace ExactTrace(size_t ops, workload::KeyGenerator* gen,
                            uint64_t seed) {

@@ -2,8 +2,6 @@
 // network.
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "net/network.h"
 #include "sim/clock.h"
 #include "sim/latency.h"
@@ -81,63 +79,12 @@ TEST(Network, SnapshotDeltas) {
   EXPECT_EQ(net::Network::DeltaOfType(s0, s1, net::MsgType::kInsert), 1u);
 }
 
-TEST(Network, PerPeerProcessedCounts) {
-  net::Network net;
-  net::PeerId a = net.Register(), b = net.Register();
-  net.Count(a, b, net::MsgType::kExactQuery);
-  net.Count(a, b, net::MsgType::kInsert);
-  EXPECT_EQ(net.ProcessedBy(b, net::MsgCategory::kQuery), 1u);
-  EXPECT_EQ(net.ProcessedBy(b, net::MsgCategory::kData), 1u);
-  EXPECT_EQ(net.ProcessedBy(a, net::MsgCategory::kQuery), 0u);
-  net.ResetPerPeerCounters();
-  EXPECT_EQ(net.ProcessedBy(b, net::MsgCategory::kQuery), 0u);
-  EXPECT_EQ(net.total_messages(), 2u);  // global totals survive
-}
-
 TEST(Network, DeadReceiverProcessesNothing) {
   net::Network net;
   net::PeerId a = net.Register(), b = net.Register();
   net.MarkDead(b);
   net.Count(a, b, net::MsgType::kExactQuery);
   EXPECT_EQ(net.total_messages(), 1u);  // the wasted message is still paid
-  EXPECT_EQ(net.ProcessedBy(b, net::MsgCategory::kQuery), 0u);
-}
-
-TEST(Network, DeferQueuesAndFlushes) {
-  net::Network net;
-  int applied = 0;
-  net.Apply([&] { ++applied; });
-  EXPECT_EQ(applied, 1);  // immediate when not deferring
-
-  net.SetDeferUpdates(true);
-  net.Apply([&] { ++applied; });
-  net.Apply([&] { ++applied; });
-  EXPECT_EQ(applied, 1);
-  EXPECT_EQ(net.deferred_pending(), 2u);
-  EXPECT_EQ(net.FlushDeferred(), 2u);
-  EXPECT_EQ(applied, 3);
-}
-
-TEST(Network, FlushRunsInFifoOrder) {
-  net::Network net;
-  net.SetDeferUpdates(true);
-  std::vector<int> order;
-  net.Apply([&] { order.push_back(1); });
-  net.Apply([&] { order.push_back(2); });
-  net.FlushDeferred();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(Network, FlushRunsFollowOnUpdates) {
-  net::Network net;
-  net.SetDeferUpdates(true);
-  int applied = 0;
-  net.Apply([&] {
-    ++applied;
-    net.Apply([&] { ++applied; });  // queued during flush
-  });
-  EXPECT_EQ(net.FlushDeferred(), 2u);
-  EXPECT_EQ(applied, 2);
 }
 
 // ---------- Network + sim attachment (critical-path frontier) ----------

@@ -1,11 +1,12 @@
 // Unit tests for util: rng, zipf, histogram, running stats, table printer,
-// status/result.
+// JSON escaping, status/result.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
 #include "util/histogram.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -229,6 +230,15 @@ TEST(TablePrinter, CsvFormat) {
 TEST(TablePrinter, NumFormatting) {
   EXPECT_EQ(TablePrinter::Num(1.23456, 2), "1.23");
   EXPECT_EQ(TablePrinter::Int(42), "42");
+}
+
+// ---------- JsonEscape ----------
+
+TEST(JsonEscape, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(JsonEscape("baton N=200 seed=0"), "baton N=200 seed=0");
+  EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(JsonEscape("x\ny\tz"), "x\\ny\\tz");
+  EXPECT_EQ(JsonEscape("\x01\x1f"), "\\u0001\\u001f");
 }
 
 // ---------- Status / Result ----------

@@ -5,8 +5,9 @@ Every bench entry below runs one bench at reduced scale (--sizes=200,1000
 --seeds=1), and every example entry runs one example as is (the examples
 ignore argv and fix their own scale), in a fresh temporary directory. Each
 compares its stdout -- plus any artifact files the run writes -- byte for
-byte with the checked-in copies under tests/golden/. Message counts, hops and simulated
-ticks are deterministic per seed, so any difference is a behaviour change.
+byte with the checked-in copies under tests/golden/. Message counts, hops
+and simulated ticks are deterministic per seed, so any difference is a
+behaviour change.
 Artifacts too large to check in (the Chrome trace runs to tens of MB) are
 kept as a SHA-256 digest plus byte count: still a byte-exact comparison,
 just without a readable diff.

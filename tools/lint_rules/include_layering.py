@@ -5,10 +5,6 @@ Each src/ subdirectory may only include headers from the layers below it
 bench harness). The allowed-dependency map *is* the architecture document;
 a PR that needs a new edge changes this file in the same diff, which makes
 the layering decision reviewable instead of accidental.
-
-baton <-> replication is a known, deliberate cycle: replication mirrors
-BATON KeyBags, and BATON's lifecycle calls back into the manager through
-baton/replicate.cc. Both edges are listed.
 """
 
 import re
@@ -25,13 +21,13 @@ ALLOWED = {
     "fault": {"net", "sim", "util"},
     "cache": {"net", "util"},
     "baton": {"net", "replication", "util"},
-    "replication": {"baton", "net", "util"},
-    "chord": {"baton", "net", "util"},
-    "d3tree": {"baton", "net", "util"},
-    "multiway": {"baton", "net", "util"},
+    "replication": {"net", "util"},
+    "chord": {"net", "util"},
+    "d3tree": {"net", "util"},
+    "multiway": {"net", "util"},
     "overlay": {"baton", "cache", "chord", "d3tree", "fault", "multiway",
                 "net", "obs", "sim", "util"},
-    "workload": {"baton", "fault", "net", "obs", "overlay", "util"},
+    "workload": {"fault", "net", "obs", "overlay", "util"},
     "serve": {"fault", "net", "obs", "overlay", "sim", "util", "workload"},
     "bench_common": {"baton", "cache", "chord", "d3tree", "fault", "multiway",
                      "net", "obs", "overlay", "replication", "sim", "util",

@@ -1,5 +1,5 @@
 // Fixture: protocol code depending only on its allowed lower layers.
-#include "baton/types.h"
+#include "baton/node.h"
 #include "net/message.h"
 #include "util/check.h"
 

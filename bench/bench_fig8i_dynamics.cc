@@ -64,10 +64,6 @@ void Run(const Options& opt) {
       query_msgs = net::Network::Delta(before, bi.net()->Snapshot());
       msgs[ci].Add(static_cast<double>(query_msgs) / opt.queries);
       fails[ci].Add(100.0 * failed / opt.queries);
-
-      // Updates drain; the overlay converges again.
-      tree.FlushDeferred();
-      tree.SetDeferUpdates(false);
     }
   }
 

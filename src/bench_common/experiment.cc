@@ -142,7 +142,6 @@ void PrintUsage(std::FILE* out) {
   std::fprintf(out, "usage: %s [flags]\n", g_usage.argv0);
   PrintFlagHelp(out, "--paper_scale",
                 "paper setup: N=1000..10000, 1000 keys/node, 10 seeds");
-  PrintFlagHelp(out, "--csv", "machine-readable CSV tables");
   for (const Flag& f : g_usage.flags) {
     PrintFlagHelp(out, "--" + f.name + "=" + f.arg, f.help);
   }
@@ -598,10 +597,6 @@ Options ParseOptions(int argc, char** argv,
       opt.sizes = {1000, 2000, 4000, 6000, 8000, 10000};
       continue;
     }
-    if (a == "--csv") {
-      opt.csv = true;
-      continue;
-    }
     if (a == "--help") {
       PrintUsage(stdout);
       std::exit(0);
@@ -823,8 +818,7 @@ void SetJsonMirror(const std::string& path) {
 void Emit(const std::string& title, const TablePrinter& table,
           const Options& opt) {
   std::printf("== %s ==\n", title.c_str());
-  std::printf("%s\n",
-              opt.csv ? table.ToCsv().c_str() : table.ToText().c_str());
+  std::printf("%s\n", table.ToText().c_str());
   std::fflush(stdout);
   if (!opt.json_path.empty()) MirrorTableToJson(title, table);
 }

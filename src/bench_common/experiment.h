@@ -63,7 +63,6 @@ struct Options {
   int queries = 1000;
   int seeds = 2;
   uint64_t base_seed = 20260608;
-  bool csv = false;
   /// Worker threads for per-(backend, N, seed) task execution in the
   /// multi-backend benches (--threads=N; 0 = hardware concurrency).
   /// Defaults to 1: results are deterministic regardless (tasks only write
@@ -187,7 +186,7 @@ struct CacheFlags {
 ///   2  adds the schema field itself, obs artifacts, percentile columns
 inline constexpr int kBenchJsonSchema = 2;
 
-/// Parses the core flags every bench accepts -- --paper_scale, --csv,
+/// Parses the core flags every bench accepts -- --paper_scale,
 /// --seeds=N, --keys=N, --sizes=a,b,c, --seed=S, --json=PATH,
 /// --list-overlays (prints overlay::RegisteredNames() one per line, exits
 /// 0), --help (prints usage, exits 0) -- plus the flags of `groups`, which
@@ -356,7 +355,7 @@ uint64_t CategoryDelta(const net::CounterSnapshot& before,
                        const net::CounterSnapshot& after,
                        net::MsgCategory category);
 
-/// Prints a titled table (text, or CSV under --csv) and, when
+/// Prints a titled text table and, when
 /// opt.json_path is set (--json=PATH, or a bench default installed via
 /// SetJsonMirror), mirrors its rows into the JSON file.
 void Emit(const std::string& title, const TablePrinter& table,

@@ -70,8 +70,7 @@ struct FastEntry {
   int depth = 0;
 };
 
-/// Monotonic lifetime counters, mirrored into the obs `cache.*` namespace
-/// by the measured wrapper (per-op deltas).
+/// Monotonic lifetime counters.
 struct Stats {
   uint64_t hits = 0;           // verified route-cache hits
   uint64_t misses = 0;         // consults that found no entry
@@ -82,17 +81,6 @@ struct Stats {
   uint64_t refreshes = 0;      // per-node lazy fast-table refreshes
   uint64_t refresh_msgs = 0;   // kCacheRefresh messages those refreshes cost
 };
-
-// Metric names under the `cache.` namespace (obs::Registry).
-inline constexpr char kMetricHits[] = "cache.hit";
-inline constexpr char kMetricMisses[] = "cache.miss";
-inline constexpr char kMetricStale[] = "cache.stale";
-inline constexpr char kMetricEvictions[] = "cache.evict";
-inline constexpr char kMetricInvalidations[] = "cache.invalidate";
-inline constexpr char kMetricFastHits[] = "cache.fast_hit";
-inline constexpr char kMetricRefreshes[] = "cache.refresh";
-/// Lifetime hit rate in percent: 100 * hits / (hits + misses + stale).
-inline constexpr char kMetricHitRatePct[] = "cache.hit_rate_pct";
 
 /// Wrap-aware containment for half-open [lo, hi) routing intervals:
 /// lo == hi covers the whole space, hi < lo wraps past the end of it.

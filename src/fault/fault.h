@@ -47,16 +47,6 @@ struct PlanConfig {
   LinkFaults all;
 };
 
-/// Metric names shared by the layers that account for degraded service
-/// (the overlay resilience wrapper and the serving engine), so "how often
-/// did we time out / give up" reads out of one obs::Registry namespace no
-/// matter which layer absorbed the fault.
-inline constexpr char kMetricDrops[] = "fault.dropped_msgs";
-inline constexpr char kMetricRetries[] = "fault.retries";
-inline constexpr char kMetricTimeouts[] = "fault.timeouts";
-inline constexpr char kMetricGaveUp[] = "fault.gave_up";
-inline constexpr char kMetricDegraded[] = "fault.degraded";
-
 /// A deterministic, seeded fault schedule. Attach with
 /// overlay->AttachFaults(&plan) (or net->AttachFaults directly); detach
 /// before destroying the plan. Not thread-safe: one plan per instance,

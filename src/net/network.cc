@@ -84,7 +84,7 @@ void Network::CountOne(PeerId from, PeerId to, MsgType type, bool dropped) {
     send_tick = base + departs;
     deliver_tick = base + arrives;
   }
-  if (observer_ != nullptr) {
+  if (observer_ != nullptr && !dropped) {
     observer_->OnMessage(from, to, type, send_tick, deliver_tick);
   }
 }

@@ -17,8 +17,8 @@
 //    Message counters are unaffected, and no protocol rng is touched: with
 //    no model attached, behaviour is bit-for-bit identical to a build
 //    without latency support,
-//  * fault-injection and observer hooks, each consulted once per counted
-//    message when attached.
+//  * fault-injection and observer hooks: the fault hook is consulted once
+//    per counted message, the observer told of each delivered one.
 //
 // Per-peer load tallies (Fig. 8(f)) are an observer's job, and the delayed
 // link updates of Fig. 8(i) are queued by BATON itself.
@@ -59,8 +59,9 @@ struct RangeResult {
   int hops = 0;
 };
 
-/// Observability hook: one callback per counted message. Implemented by
-/// obs::Observer; net/ only sees this interface so the layering stays
+/// Observability hook: one callback per delivered message (a message the
+/// fault plan dropped is counted but reported to no observer). Implemented
+/// by obs::Observer; net/ only sees this interface so the layering stays
 /// net <- obs <- overlay. `send_tick`/`deliver_tick` are virtual times on
 /// the attached sim::Clock when there is one; otherwise both equal the
 /// global message index, which still orders every event causally.
@@ -170,11 +171,11 @@ class Network {
   uint64_t sim_delivered() const { return sim_delivered_; }
 
   // ---- Observability (obs/ attachment) -------------------------------------
-  /// Attaches a message observer: every subsequent Count() reports the
-  /// message (with its virtual send/deliver ticks) to `obs`. Non-owning;
-  /// pass nullptr to detach. Opt-in like AttachSim: with no observer
-  /// attached the counting path is untouched -- no allocations, identical
-  /// behaviour.
+  /// Attaches a message observer: every subsequent Count() reports each
+  /// delivered message (with its virtual send/deliver ticks) to `obs`.
+  /// Non-owning; pass nullptr to detach. Opt-in like AttachSim: with no
+  /// observer attached the counting path is untouched -- no allocations,
+  /// identical behaviour.
   void AttachObserver(MessageObserver* obs) { observer_ = obs; }
   MessageObserver* observer() const { return observer_; }
 

@@ -1,5 +1,5 @@
 // net::MessageTrail: a MessageObserver that records the (from, to, type)
-// sequence of every counted message, optionally forwarding each event to a
+// sequence of every delivered message, optionally forwarding each event to a
 // previously attached observer so instrumentation stacks instead of
 // displacing each other.
 //

@@ -1,7 +1,5 @@
 #include "obs/log_histogram.h"
 
-#include <cstdio>
-
 namespace baton {
 namespace obs {
 
@@ -117,18 +115,6 @@ uint64_t LogHistogram::QuantileInterp(double q) const {
 bool LogHistogram::operator==(const LogHistogram& other) const {
   return buckets_ == other.buckets_ && count_ == other.count_ &&
          sum_ == other.sum_ && min() == other.min() && max() == other.max();
-}
-
-std::string LogHistogram::Summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "count=%llu mean=%.2f p50=%llu p90=%llu p99=%llu max=%llu",
-                static_cast<unsigned long long>(count_), Mean(),
-                static_cast<unsigned long long>(Quantile(0.50)),
-                static_cast<unsigned long long>(Quantile(0.90)),
-                static_cast<unsigned long long>(Quantile(0.99)),
-                static_cast<unsigned long long>(max()));
-  return buf;
 }
 
 }  // namespace obs

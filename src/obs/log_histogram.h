@@ -15,8 +15,8 @@
 #define BATON_OBS_LOG_HISTOGRAM_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace baton {
 namespace obs {
@@ -73,9 +73,6 @@ class LogHistogram {
 
   bool operator==(const LogHistogram& other) const;
   bool operator!=(const LogHistogram& other) const { return !(*this == other); }
-
-  /// Compact "count=... mean=... p50=... p90=... p99=... max=..." summary.
-  std::string Summary() const;
 
  private:
   static int BucketIndex(uint64_t value);

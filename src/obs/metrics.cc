@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#include <sstream>
-
 #include "util/json.h"
 
 namespace baton {
@@ -57,36 +55,6 @@ LogHistogram Registry::NodeLoad(const std::string& family, size_t n) const {
     dist.Add(fam != nullptr && i < fam->size() ? (*fam)[i] : 0);
   }
   return dist;
-}
-
-void Registry::Merge(const Registry& other) {
-  for (const auto& [name, v] : other.counters_) counters_[name] += v;
-  for (const auto& [name, v] : other.gauges_) gauges_[name] += v;
-  for (const auto& [name, h] : other.hists_) hists_[name].Merge(h);
-  for (const auto& [family, vec] : other.per_node_) {
-    std::vector<uint64_t>& mine = per_node_[family];
-    if (mine.size() < vec.size()) mine.resize(vec.size(), 0);
-    for (size_t i = 0; i < vec.size(); ++i) mine[i] += vec[i];
-  }
-}
-
-std::string Registry::ToString() const {
-  std::ostringstream out;
-  for (const auto& [name, v] : counters_) {
-    out << name << ": " << v << "\n";
-  }
-  for (const auto& [name, v] : gauges_) {
-    out << name << ": " << v << " (gauge)\n";
-  }
-  for (const auto& [name, h] : hists_) {
-    out << name << ": " << h.Summary() << "\n";
-  }
-  for (const auto& [family, vec] : per_node_) {
-    LogHistogram dist = NodeLoad(family, vec.size());
-    out << family << " (" << vec.size() << " nodes): " << dist.Summary()
-        << "\n";
-  }
-  return out.str();
 }
 
 void Registry::AppendJson(std::ostream& out) const {

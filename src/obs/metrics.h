@@ -7,20 +7,12 @@
 // every backend instead of reporting means only.
 //
 // Naming scheme (dots separate scopes, all lowercase):
-//   net.messages              global message counter
+//   net.messages              global delivered-message counter
 //   net.msgs.<category>       per MsgCategory counters (maintenance, query..)
 //   node.<family>             per-node counter families (msgs_in, msgs_out,
 //                             routing_touch, restructure, replica_msgs)
 //   op.<name>.count|ok        per-operation counters (exact, range, join...)
 //   op.<name>.hops|messages|latency_ticks   per-operation histograms
-//   serve.*                   serving-engine outcomes (ops_admitted,
-//                             sojourn_ticks, node.served, ...)
-//   fault.*                   degraded-service accounting under fault
-//                             injection: dropped_msgs, retries,
-//                             timeouts, gave_up, degraded --
-//                             written by the overlay resilience wrapper
-//                             and the serving engine (shared constant
-//                             names in fault/fault.h)
 //
 // Accessors return references that stay valid for the registry's lifetime
 // (node-based maps), so hot paths cache them once and update through the
@@ -68,14 +60,6 @@ class Registry {
   /// entries count as 0) -- the load-balance / hot-spot view: its max vs
   /// Mean() is the skew factor, Quantile(0.99) the p99 node load.
   LogHistogram NodeLoad(const std::string& family, size_t n) const;
-
-  /// Additive merge: counters, gauges, histogram buckets and per-node
-  /// entries all sum (for combining per-task registries of disjoint runs).
-  void Merge(const Registry& other);
-
-  /// Human-readable dump: counters, gauges, histogram summaries, per-node
-  /// family summaries. Deterministic (map order).
-  std::string ToString() const;
 
   /// JSON object {"counters":{...},"gauges":{...},"histograms":{name:
   /// {count,mean,p50,p90,p99,max}},"per_node":{family:{nodes,sum,mean,max,

@@ -1,9 +1,9 @@
 // obs::Observer: the one object an Instance attaches to make a run
-// observable. It implements net::MessageObserver (every counted message
-// updates the metrics registry and, when tracing, lands in the trace as a
-// child event of the open op span) and receives the overlay wrapper's
-// BeginOp/EndOp calls (one span + one set of op histograms per public
-// operation).
+// observable, and the only writer of its metrics registry. It implements
+// net::MessageObserver (every delivered message updates the registry and,
+// when tracing, lands in the trace as a child event of the open op span)
+// and receives the overlay wrapper's BeginOp/EndOp calls (one span + one
+// set of op histograms per public operation).
 //
 // Attachment mirrors AttachSim: per overlay instance, opt-in, non-owning
 // from the network's point of view. With no observer attached every hot
@@ -27,7 +27,6 @@ class Observer : public net::MessageObserver {
   /// (spans + message events); metrics are always collected.
   explicit Observer(bool tracing = false);
 
-  Registry& metrics() { return metrics_; }
   const Registry& metrics() const { return metrics_; }
   /// Null unless constructed with tracing enabled.
   TraceRecorder* trace() { return trace_.get(); }

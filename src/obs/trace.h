@@ -1,6 +1,6 @@
 // obs::TraceRecorder: causal, message-level operation tracing. The overlay's
 // measured wrapper opens one span per public operation; net::Network emits a
-// child event per counted message carrying (from, to, type, send tick,
+// child event per delivered message carrying (from, to, type, send tick,
 // deliver tick). WriteChromeTrace serializes any number of recorders into
 // one Chrome trace-event JSON file (the {"traceEvents": [...]} flavor),
 // loadable in Perfetto / chrome://tracing, one "process" per recorder.
@@ -34,7 +34,7 @@ struct OpSpan {
   bool ok = false;
 };
 
-/// One counted message, causally inside the span that was open when it was
+/// One delivered message, causally inside the span that was open when it was
 /// sent.
 struct MsgEvent {
   uint64_t send = 0;     // tick the sender dispatched it

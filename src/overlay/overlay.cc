@@ -10,12 +10,6 @@ namespace {
 /// timeout.
 const fault::Policy kNoPolicy{};
 
-/// Adds `delta` to counter `name`; a zero delta leaves the registry
-/// untouched, so metrics that never fire never appear.
-void Bump(obs::Registry* reg, const char* name, uint64_t delta) {
-  if (delta > 0) reg->Counter(name) += delta;
-}
-
 }  // namespace
 
 /// Runs `fn(origin, &st)` inside a sim measurement window, so st.messages
@@ -30,22 +24,12 @@ OpStats Overlay::Measured(const char* op, PeerId origin, bool retryable,
   net::Network* net = network();
   OpStats st;
   const uint64_t before = net->total_messages();
-  const bool cache_metrics = cache_ != nullptr && obs_ != nullptr;
-  cache::Stats cache_before;
-  if (cache_metrics) cache_before = cache_->stats();
   if (obs_ != nullptr) obs_->BeginOp(op, net->ObsClock());
   RunAttempts(net, origin, retryable, fn, &st);
   st.messages = net->total_messages() - before;
   if (obs_ != nullptr) {
     obs_->EndOp(op, net->ObsClock(),
                 {st.ok(), st.peer, st.hops, st.messages, st.latency_ticks});
-    obs::Registry* reg = &obs_->metrics();
-    Bump(reg, fault::kMetricDrops, st.dropped_msgs);
-    Bump(reg, fault::kMetricRetries, static_cast<uint64_t>(st.retries));
-    Bump(reg, fault::kMetricTimeouts, static_cast<uint64_t>(st.timeouts));
-    Bump(reg, fault::kMetricGaveUp, st.gave_up ? 1 : 0);
-    Bump(reg, fault::kMetricDegraded, st.degraded ? 1 : 0);
-    if (cache_metrics) PublishCacheMetrics(cache_before);
   }
   return st;
 }
@@ -139,23 +123,18 @@ PeerId Overlay::RetryOrigin(PeerId origin, int attempt) const {
   return origin;
 }
 
-// Membership operations invalidate inside the measured window, so the
-// cache.invalidate metric is published with the op that caused it.
 OpStats Overlay::Join(PeerId contact) {
   OpStats st = Measured("join", contact, /*retryable=*/false,
-                        [&](PeerId c, OpStats* s) {
-    DoJoin(c, s);
-    // The joiner's interval was carved out of an existing member's: routes
-    // covering it now point at the wrong peer.
-    uint64_t lo = 0;
-    uint64_t hi = 0;
-    if (cache_ != nullptr && s->ok() && RouteHint(s->peer, &lo, &hi)) {
-      cache_->InvalidateRange(lo, hi);
-    }
-  });
+                        [&](PeerId c, OpStats* s) { DoJoin(c, s); });
+  if (cache_ == nullptr || !st.ok()) return st;
+  // The joiner's interval was carved out of an existing member's: routes
+  // covering it now point at the wrong peer.
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  if (RouteHint(st.peer, &lo, &hi)) cache_->InvalidateRange(lo, hi);
   // Any membership change outdates the replicated fast-table; every node's
   // mirror refreshes lazily on its next cold lookup.
-  if (cache_ != nullptr && st.ok()) cache_->BumpVersion();
+  cache_->BumpVersion();
   return st;
 }
 
@@ -169,18 +148,16 @@ OpStats Overlay::Fail(PeerId victim) {
 
 OpStats Overlay::Departure(const char* op, PeerId peer,
                            void (Overlay::*depart)(PeerId, OpStats*)) {
+  // The interval must be read before the peer hands it over.
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  const bool hinted = cache_ != nullptr && RouteHint(peer, &lo, &hi);
   OpStats st = Measured(op, kNullPeer, /*retryable=*/false,
-                        [&](PeerId, OpStats* s) {
-    // The interval must be read before the peer hands it over.
-    uint64_t lo = 0;
-    uint64_t hi = 0;
-    const bool hinted = cache_ != nullptr && RouteHint(peer, &lo, &hi);
-    (this->*depart)(peer, s);
-    if (cache_ == nullptr || !s->ok()) return;
-    if (hinted) cache_->InvalidateRange(lo, hi);
-    cache_->InvalidatePeer(peer);
-  });
-  if (cache_ != nullptr && st.ok()) cache_->BumpVersion();
+                        [&](PeerId, OpStats* s) { (this->*depart)(peer, s); });
+  if (cache_ == nullptr || !st.ok()) return st;
+  if (hinted) cache_->InvalidateRange(lo, hi);
+  cache_->InvalidatePeer(peer);
+  cache_->BumpVersion();
   return st;
 }
 
@@ -327,24 +304,6 @@ void Overlay::CacheAwareExact(PeerId from, Key key, OpStats* st) {
     if (RouteHint(st->peer, &lo, &hi) && cache::RangeContains(lo, hi, rk)) {
       c->Learn(from, lo, hi, st->peer, st->hops);
     }
-  }
-}
-
-void Overlay::PublishCacheMetrics(const cache::Stats& before) {
-  const cache::Stats& now = cache_->stats();
-  obs::Registry* reg = &obs_->metrics();
-  Bump(reg, cache::kMetricHits, now.hits - before.hits);
-  Bump(reg, cache::kMetricMisses, now.misses - before.misses);
-  Bump(reg, cache::kMetricStale, now.stale - before.stale);
-  Bump(reg, cache::kMetricEvictions, now.evictions - before.evictions);
-  Bump(reg, cache::kMetricInvalidations,
-       now.invalidations - before.invalidations);
-  Bump(reg, cache::kMetricFastHits, now.fast_hits - before.fast_hits);
-  Bump(reg, cache::kMetricRefreshes, now.refreshes - before.refreshes);
-  const uint64_t consults = now.hits + now.misses + now.stale;
-  if (consults > 0) {
-    reg->Gauge(cache::kMetricHitRatePct) =
-        static_cast<int64_t>(100 * now.hits / consults);
   }
 }
 

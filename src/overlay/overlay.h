@@ -147,7 +147,7 @@ class Overlay {
   /// AttachLatency: per instance, opt-in, non-owning, must outlive the
   /// attachment; pass nullptr to detach). The measured wrapper then opens a
   /// causal span per public operation and feeds its outcome into the
-  /// observer's metrics registry, while the network reports every counted
+  /// observer's metrics registry, while the network reports every delivered
   /// message into the open span. With no observer attached (the default)
   /// the hot paths gain nothing but a null check -- no allocations, and all
   /// bench output stays byte-identical.
@@ -163,9 +163,8 @@ class Overlay {
   /// wrapper runs read operations under the resilience() policy -- per-
   /// attempt loss/timeout detection, bounded retry with deterministic
   /// backoff, RetryOrigin rerouting -- and fills the OpStats resilience
-  /// fields; with an observer also attached, fault.* metrics accumulate in
-  /// its registry. Detached (the default) every hot path pays one null
-  /// check and output is byte-identical to a fault-free build.
+  /// fields. Detached (the default) every hot path pays one null check and
+  /// output is byte-identical to a fault-free build.
   void AttachFaults(net::FaultInjector* f) { network()->AttachFaults(f); }
 
   /// Attaches the hot-path caching manager (same lifecycle contract as the
@@ -319,15 +318,15 @@ class Overlay {
   }
 
  private:
-  /// Leave and Fail: runs `depart` (DoLeave or DoFail) on `peer` inside the
+  /// Leave and Fail: runs `depart` (DoLeave or DoFail) on `peer` in the
   /// measured window and, when it succeeds, drops the routes covering the
   /// peer's former interval and every route to the peer.
   OpStats Departure(const char* op, PeerId peer,
                     void (Overlay::*depart)(PeerId, OpStats*));
-  /// The measured wrapper: message count, obs span, fault op tick and the
-  /// attempt loop. `retryable` marks read operations (safe to re-issue);
-  /// `origin` is the peer the operation starts from (kNullPeer for
-  /// membership repair ops with no caller-chosen origin).
+  /// The measured wrapper: message count, obs span and the attempt loop.
+  /// `retryable` marks read operations (safe to re-issue); `origin` is the
+  /// peer the operation starts from (kNullPeer for membership repair ops
+  /// with no caller-chosen origin).
   template <typename Fn>
   OpStats Measured(const char* op, PeerId origin, bool retryable, Fn&& fn);
   /// The body of Measured: one sim window per attempt, with retries under
@@ -340,9 +339,6 @@ class Overlay {
   /// cold jump), then the protocol walk; learn the completed route. With no
   /// cache attached this is exactly DoExactSearch.
   void CacheAwareExact(PeerId from, Key key, OpStats* st);
-  /// Mirrors the per-op cache Stats delta into the observer's `cache.*`
-  /// metrics and refreshes the hit-rate gauge.
-  void PublishCacheMetrics(const cache::Stats& before);
 
   net::Network net_;
   obs::Observer* obs_ = nullptr;

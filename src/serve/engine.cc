@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "fault/fault.h"
 #include "net/trail.h"
 #include "util/check.h"
 
@@ -217,8 +216,8 @@ void Engine::RunState::Finish(size_t idx, bool completed) {
 }
 
 Engine::Engine(overlay::Overlay* ov, std::vector<net::PeerId>* members,
-               const EngineConfig& cfg, obs::Registry* registry)
-    : ov_(ov), members_(members), cfg_(cfg), registry_(registry) {
+               const EngineConfig& cfg)
+    : ov_(ov), members_(members), cfg_(cfg) {
   BATON_CHECK(ov != nullptr);
   BATON_CHECK(members != nullptr);
 }
@@ -265,36 +264,6 @@ EngineResult Engine::RunInternal(const workload::Trace& trace,
   // Restore the observer chain the engine spliced itself into.
   net->AttachObserver(trail.chained());
 
-  if (registry_ != nullptr) {
-    obs::Registry& reg = *registry_;
-    reg.Counter("serve.ops_admitted") += st.res.admitted;
-    reg.Counter("serve.ops_completed") += st.res.completed;
-    reg.Counter("serve.ops_dropped") += st.res.dropped;
-    reg.Counter("serve.ops_timed_out") += st.res.timed_out;
-    // Unified degraded-service accounting: client give-ups land in the
-    // same fault.* namespace the overlay resilience wrapper writes, so
-    // "how often did users see degraded service" is one query no matter
-    // which layer absorbed the fault.
-    if (st.res.timed_out > 0) {
-      reg.Counter(fault::kMetricTimeouts) += st.res.timed_out;
-    }
-    reg.Counter("serve.msgs_serviced") += st.nodes.total_served();
-    reg.Counter("serve.service_ticks") += st.res.total_service_ticks;
-    reg.Gauge("serve.makespan_ticks") = static_cast<int64_t>(st.res.makespan);
-    reg.Hist("serve.sojourn_ticks").Merge(st.res.sojourn);
-    reg.Hist("serve.queue_wait_ticks").Merge(st.res.queue_wait);
-    reg.Hist("serve.queue_depth").Merge(st.res.queue_depth);
-    std::vector<uint64_t>* served = &reg.PerNode("serve.node.served");
-    std::vector<uint64_t>* peak = &reg.PerNode("serve.node.queue_peak");
-    for (uint32_t n = 0; n < st.nodes.num_nodes(); ++n) {
-      if (st.nodes.served(n) > 0) {
-        obs::Registry::IncNode(served, n, st.nodes.served(n));
-      }
-      if (st.nodes.peak_depth(n) > 0) {
-        obs::Registry::IncNode(peak, n, st.nodes.peak_depth(n));
-      }
-    }
-  }
   return std::move(st.res);
 }
 

@@ -64,7 +64,6 @@
 #include <vector>
 
 #include "obs/log_histogram.h"
-#include "obs/metrics.h"
 #include "overlay/overlay.h"
 #include "serve/arrivals.h"
 #include "serve/node_model.h"
@@ -135,11 +134,10 @@ class Engine {
  public:
   /// `ov` and `members` follow workload::Replay's contract (bootstrapped
   /// overlay, non-empty member list, joiners appended / leavers erased).
-  /// With `registry` non-null the run additionally publishes serve.*
-  /// counters/histograms and per-node serve.node.* families into it (the
-  /// obs naming scheme; see obs/metrics.h). All pointers are non-owning.
+  /// Both pointers are non-owning. Every outcome of a run is returned in
+  /// its EngineResult.
   Engine(overlay::Overlay* ov, std::vector<net::PeerId>* members,
-         const EngineConfig& cfg, obs::Registry* registry = nullptr);
+         const EngineConfig& cfg);
 
   /// Open-loop run: op i is admitted at `arrivals`' i-th arrival time,
   /// whether or not earlier ops have drained. `op_rng` is the Replay-
@@ -161,7 +159,6 @@ class Engine {
   overlay::Overlay* ov_;
   std::vector<net::PeerId>* members_;
   EngineConfig cfg_;
-  obs::Registry* registry_;
 };
 
 }  // namespace serve

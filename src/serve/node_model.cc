@@ -29,11 +29,9 @@ NodeModel::Admission NodeModel::Admit(uint32_t node, sim::Time t,
   adm.done = adm.start + ticks;
   n.next_free = adm.done;
   ++n.served;
-  if (adm.ahead > n.peak_depth) n.peak_depth = adm.ahead;
   if (n.served > max_served_) max_served_ = n.served;
-  if (n.peak_depth > max_peak_depth_) max_peak_depth_ = n.peak_depth;
+  if (adm.ahead > max_peak_depth_) max_peak_depth_ = adm.ahead;
   total_busy_ += ticks;
-  ++total_served_;
   return adm;
 }
 

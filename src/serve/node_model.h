@@ -26,7 +26,6 @@
 #ifndef BATON_SERVE_NODE_MODEL_H_
 #define BATON_SERVE_NODE_MODEL_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -69,16 +68,6 @@ class NodeModel {
   }
 
   uint64_t service_ticks() const { return service_ticks_; }
-  /// Messages serviced by `node` so far (0 for never-touched nodes).
-  uint64_t served(uint32_t node) const {
-    return node < nodes_.size() ? nodes_[node].served : 0;
-  }
-  /// Peak backlog observed at `node` (unserviced messages at an admission).
-  uint64_t peak_depth(uint32_t node) const {
-    return node < nodes_.size() ? nodes_[node].peak_depth : 0;
-  }
-  /// Highest node index ever admitted to, plus one.
-  size_t num_nodes() const { return nodes_.size(); }
 
   /// Busiest node by serviced-message count: the bottleneck whose
   /// utilization bounds system capacity.
@@ -87,14 +76,11 @@ class NodeModel {
   uint64_t max_peak_depth() const { return max_peak_depth_; }
   /// Total service ticks consumed across all nodes.
   uint64_t total_busy_ticks() const { return total_busy_; }
-  /// Total messages serviced (admissions accepted).
-  uint64_t total_served() const { return total_served_; }
 
  private:
   struct Node {
     sim::Time next_free = 0;
     uint64_t served = 0;
-    uint64_t peak_depth = 0;
   };
 
   uint64_t service_ticks_;
@@ -103,7 +89,6 @@ class NodeModel {
   uint64_t max_served_ = 0;
   uint64_t max_peak_depth_ = 0;
   uint64_t total_busy_ = 0;
-  uint64_t total_served_ = 0;
 };
 
 }  // namespace serve

@@ -50,18 +50,4 @@ std::string TablePrinter::ToText() const {
   return out.str();
 }
 
-std::string TablePrinter::ToCsv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      out << row[i];
-      if (i + 1 < row.size()) out << ",";
-    }
-    out << "\n";
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
 }  // namespace baton

@@ -1,5 +1,5 @@
-// Aligned text tables + CSV output for the benchmark harness, so every bench
-// binary prints the same rows/series the paper's figures plot.
+// Aligned text tables for the benchmark harness, so every bench binary
+// prints the same rows/series the paper's figures plot.
 #ifndef BATON_UTIL_TABLE_PRINTER_H_
 #define BATON_UTIL_TABLE_PRINTER_H_
 
@@ -20,8 +20,6 @@ class TablePrinter {
 
   /// Render as an aligned text table.
   std::string ToText() const;
-  /// Render as CSV (headers + rows).
-  std::string ToCsv() const;
 
   /// Raw cells, for alternative renderers (e.g. the bench harness's JSON
   /// mirror).

@@ -25,25 +25,6 @@ void OpAggregate::Accumulate(const overlay::OpStats& st) {
   latency_hist.Add(st.latency_ticks);
 }
 
-void OpAggregate::Merge(const OpAggregate& other) {
-  count += other.count;
-  ok += other.ok;
-  found += other.found;
-  skipped += other.skipped;
-  unsupported += other.unsupported;
-  messages += other.messages;
-  hops += other.hops;
-  latency += other.latency;
-  retries += other.retries;
-  timeouts += other.timeouts;
-  gave_up += other.gave_up;
-  degraded += other.degraded;
-  dropped_msgs += other.dropped_msgs;
-  hops_hist.Merge(other.hops_hist);
-  messages_hist.Merge(other.messages_hist);
-  latency_hist.Merge(other.latency_hist);
-}
-
 AppliedOp ApplyOp(overlay::Overlay& ov, const Op& op, Rng* rng,
                   std::vector<net::PeerId>* members) {
   AppliedOp out;

@@ -65,9 +65,6 @@ struct OpAggregate {
   /// also adds messages/latency to the trace-wide totals.
   void Accumulate(const overlay::OpStats& st);
 
-  /// Combines another aggregate into this one (cross-seed bench rollups).
-  void Merge(const OpAggregate& other);
-
   double MeanMessages() const {
     return count == 0 ? 0.0
                       : static_cast<double>(messages) /

@@ -3,7 +3,7 @@
 // capacity bound, invalidation), and the overlay-level contract on every
 // registered backend -- cached answers identical to uncached ones, exact
 // message accounting, stale routes repaired after leave/fail churn,
-// membership ops invalidating inside their own op, deterministic hit
+// membership ops dropping the routes they outdate, deterministic hit
 // sequences, and byte-identical behaviour once detached.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 
 #include "cache/cache.h"
 #include "fixtures.h"
-#include "obs/observer.h"
 #include "overlay/baton_overlay.h"
 #include "overlay/chord_overlay.h"
 #include "overlay/registry.h"
@@ -244,31 +243,24 @@ WarmRoute FindWarmRoute(const Built& b, cache::Manager* mgr,
   return {};
 }
 
-// Join, leave and fail drop the routes they outdate inside their own
-// measured op: cache.invalidate is published with the op that caused it, a
+// Join, leave and fail drop the routes they outdate before they return: a
 // warm route to a departed owner is gone before the next lookup (not
 // refuted by a wasted probe), and no route survives inside a joiner's new
 // interval.
-TEST(CacheOverlay, MembershipOpsInvalidateInsideTheirOwnOp) {
+TEST(CacheOverlay, MembershipOpsDropTheRoutesTheyOutdate) {
   for (const std::string& name : overlay::RegisteredNames()) {
     SCOPED_TRACE(name);
     std::vector<Key> keys = SomeKeys(43, 60);
     {
       cache::Manager mgr;
-      obs::Observer obs;  // metrics only
       auto b = Grow(name, 64, 43);
       b.ov->AttachCache(&mgr);
-      b.ov->AttachObserver(&obs);
       const bool can_fail = b.ov->Supports(Capability::kFailRecovery);
-      auto billed = [&] {
-        return obs.metrics().CounterValue(cache::kMetricInvalidations);
-      };
       Rng rng(Mix64(43 ^ 0xc4a7));
       for (uint64_t round = 0; round < 6; ++round) {
         Answers(&b, keys, 43 + round);  // (re)warm
         OpStats j = b.ov->Join(b.members[rng.NextBelow(b.members.size())]);
         ASSERT_TRUE(j.ok()) << j.status.ToString();
-        EXPECT_EQ(billed(), mgr.stats().invalidations);
         b.members = b.ov->Members();
         uint64_t lo = 0;
         uint64_t hi = 0;
@@ -281,18 +273,15 @@ TEST(CacheOverlay, MembershipOpsInvalidateInsideTheirOwnOp) {
         Answers(&b, keys, 53 + round);
         OpStats l = b.ov->Leave(b.members[rng.NextBelow(b.members.size())]);
         ASSERT_TRUE(l.ok()) << l.status.ToString();
-        EXPECT_EQ(billed(), mgr.stats().invalidations);
         b.members = b.ov->Members();
         if (!can_fail) continue;
         Answers(&b, keys, 63 + round);
         OpStats f = b.ov->Fail(b.members[rng.NextBelow(b.members.size())]);
         ASSERT_TRUE(f.ok()) << f.status.ToString();
-        EXPECT_EQ(billed(), mgr.stats().invalidations);
         ASSERT_TRUE(b.ov->RecoverAllFailures().ok());
         b.members = b.ov->Members();
       }
       EXPECT_GT(mgr.stats().invalidations, 0u);
-      b.ov->AttachObserver(nullptr);
       b.ov->AttachCache(nullptr);
     }
     // Leave, and where supported fail + recover, of a warm route's owner.

@@ -101,29 +101,6 @@ TEST(Registry, CountersGaugesHistsAndPerNode) {
   EXPECT_EQ(load.Quantile(0.5), 0u);  // 4 of 6 nodes saw nothing
 }
 
-TEST(Registry, MergeIsAdditiveAcrossEveryKind) {
-  Registry a, b;
-  a.Counter("c") = 3;
-  b.Counter("c") = 4;
-  b.Counter("only-b") = 1;
-  a.Gauge("g") = 10;
-  b.Gauge("g") = -2;
-  a.Hist("h").Add(1);
-  b.Hist("h").Add(1u << 20);
-  Registry::IncNode(&a.PerNode("f"), 1, 5);
-  Registry::IncNode(&b.PerNode("f"), 3, 7);
-
-  a.Merge(b);
-  EXPECT_EQ(a.CounterValue("c"), 7u);
-  EXPECT_EQ(a.CounterValue("only-b"), 1u);
-  EXPECT_EQ(a.GaugeValue("g"), 8);
-  EXPECT_EQ(a.FindHist("h")->count(), 2u);
-  EXPECT_EQ(a.FindHist("h")->max(), 1u << 20);
-  const auto& fam = *a.FindPerNode("f");
-  EXPECT_EQ(fam[1], 5u);
-  EXPECT_EQ(fam[3], 7u);
-}
-
 TEST(Observer, CountsEveryMessageTheNetworkCounts) {
   Built b = Grow("baton", 64, 11);
   Observer obs;
@@ -275,13 +252,6 @@ TEST(Replay, ZeroOpAggregatesReadAsZeroEverywhere) {
   EXPECT_EQ(agg.hops_hist.Quantile(0.5), 0u);
   EXPECT_EQ(agg.latency_hist.Quantile(0.99), 0u);
   EXPECT_EQ(res.total_messages, 0u);
-  // Merging empty aggregates stays empty (the cross-seed rollup path).
-  workload::OpAggregate merged;
-  merged.Merge(agg);
-  merged.Merge(agg);
-  EXPECT_EQ(merged.count, 0u);
-  EXPECT_EQ(merged.unsupported, 80u);
-  EXPECT_DOUBLE_EQ(merged.MeanMessages(), 0.0);
 }
 
 TEST(Replay, AggregateHistogramsMatchTheTotals) {

@@ -221,12 +221,6 @@ TEST(TablePrinter, TextAlignsColumns) {
   EXPECT_NE(out.find('\n'), std::string::npos);
 }
 
-TEST(TablePrinter, CsvFormat) {
-  TablePrinter t({"x", "y"});
-  t.AddRow({"1", "2"});
-  EXPECT_EQ(t.ToCsv(), "x,y\n1,2\n");
-}
-
 TEST(TablePrinter, NumFormatting) {
   EXPECT_EQ(TablePrinter::Num(1.23456, 2), "1.23");
   EXPECT_EQ(TablePrinter::Int(42), "42");

@@ -26,12 +26,10 @@ ALLOWED = {
     "d3tree": {"net", "util"},
     "multiway": {"net", "util"},
     "overlay": {"baton", "cache", "chord", "d3tree", "fault", "multiway",
-                "net", "obs", "sim", "util"},
-    "workload": {"fault", "net", "obs", "overlay", "util"},
-    "serve": {"fault", "net", "obs", "overlay", "sim", "util", "workload"},
-    "bench_common": {"baton", "cache", "chord", "d3tree", "fault", "multiway",
-                     "net", "obs", "overlay", "replication", "sim", "util",
-                     "workload"},
+                "net", "obs", "util"},
+    "workload": {"net", "obs", "overlay", "util"},
+    "serve": {"net", "obs", "overlay", "sim", "util", "workload"},
+    "bench_common": {"baton", "obs", "overlay", "sim", "util", "workload"},
 }
 
 _INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([a-z_0-9]+)/[^"]+"')

@@ -292,8 +292,7 @@ void BatonNetwork::RebuildRoutingTables(BatonNode* x, bool charge) {
   }
 }
 
-void BatonNetwork::ClearReverseEntriesAt(const Position& pos, PeerId notifier,
-                                         bool charge) {
+void BatonNetwork::ClearReverseEntriesAt(const Position& pos, PeerId notifier) {
   NodeRef cleared;  // peer == kNullPeer: "clear if you still point at pos"
   cleared.pos = pos;
   for (int side = 0; side < 2; ++side) {
@@ -304,7 +303,7 @@ void BatonNetwork::ClearReverseEntriesAt(const Position& pos, PeerId notifier,
       PeerId occ = OccupantOf(nb_pos);
       if (occ == kNullPeer) continue;
       // nb's entry pointing back at `pos` sits on its opposite side table.
-      if (charge) Count(notifier, occ, net::MsgType::kTableUpdate);
+      Count(notifier, occ, net::MsgType::kTableUpdate);
       SendRefUpdate(occ, left ? RefKind::kRightRt : RefKind::kLeftRt, i,
                     cleared);
     }

@@ -306,8 +306,7 @@ class BatonNetwork {
   /// Null out entries pointing at vacated position `pos` in the tables of its
   /// same-level power-of-two neighbours; one kTableUpdate each, sent by
   /// `notifier` (the departing node or the peer handling its departure).
-  void ClearReverseEntriesAt(const Position& pos, PeerId notifier,
-                             bool charge);
+  void ClearReverseEntriesAt(const Position& pos, PeerId notifier);
 
   // ---- join (join.cc) ----
   PeerId FindJoinNode(PeerId contact, int* hops);

@@ -109,7 +109,7 @@ void BatonNetwork::SafeLeaveAsLeaf(BatonNode* x, bool transfer_content,
   UnspliceFromAdjacency(x);
 
   // 3. LEAVE messages null the neighbours' entries pointing at x (<= 2 L2).
-  ClearReverseEntriesAt(x->pos, x->id, /*charge=*/true);
+  ClearReverseEntriesAt(x->pos, x->id);
 
   // 4. The parent's range and child bits changed: refresh every link that
   //    caches them (<= 2 L1 sideways plus a constant).
@@ -153,7 +153,7 @@ void BatonNetwork::DetachLeaf(BatonNode* x) {
     p->right_child.Clear();
   }
   UnspliceFromAdjacency(x);
-  ClearReverseEntriesAt(x->pos, x->id, /*charge=*/true);
+  ClearReverseEntriesAt(x->pos, x->id);
   RefreshInboundRefs(p, net::MsgType::kChildStatusNotify);
   UnindexPosition(x);
   x->in_overlay = false;

@@ -234,7 +234,7 @@ void BatonNetwork::RelocateNodes(const std::vector<Move>& moves) {
         RefreshInboundRefs(parent, net::MsgType::kChildStatusNotify);
       }
     }
-    ClearReverseEntriesAt(vacated, notifier, /*charge=*/true);
+    ClearReverseEntriesAt(vacated, notifier);
   });
 }
 

@@ -5,12 +5,8 @@
 namespace baton {
 namespace fault {
 
-namespace {
-constexpr int kNumCategories = static_cast<int>(net::MsgCategory::kOther) + 1;
-}  // namespace
-
 Plan::Plan(const PlanConfig& cfg)
-    : by_category_(kNumCategories, cfg.all),
+    : by_category_(net::kNumMsgCategories, cfg.all),
       rng_(Mix64(cfg.seed ^ 0xfa017135eedULL)) {
   BATON_CHECK(cfg.all.drop >= 0 && cfg.all.drop <= 1.0);
   BATON_CHECK(cfg.all.duplicate >= 0 && cfg.all.duplicate <= 1.0);

@@ -35,8 +35,6 @@ void LogHistogram::Merge(const LogHistogram& other) {
   }
 }
 
-void LogHistogram::Clear() { *this = LogHistogram{}; }
-
 double LogHistogram::Mean() const {
   return count_ == 0
              ? 0.0

@@ -34,7 +34,6 @@ class LogHistogram {
   void Add(uint64_t value, uint64_t count = 1);
   /// Bucket-wise addition; associative and commutative.
   void Merge(const LogHistogram& other);
-  void Clear();
 
   uint64_t count() const { return count_; }
   uint64_t sum() const { return sum_; }

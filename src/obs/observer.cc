@@ -5,14 +5,10 @@
 namespace baton {
 namespace obs {
 
-namespace {
-constexpr int kNumCategories = static_cast<int>(net::MsgCategory::kOther) + 1;
-}  // namespace
-
 Observer::Observer(bool tracing) {
   if (tracing) trace_ = std::make_unique<TraceRecorder>();
   msgs_total_ = &metrics_.Counter("net.messages");
-  for (int c = 0; c < kNumCategories; ++c) {
+  for (int c = 0; c < net::kNumMsgCategories; ++c) {
     by_category_[c] = &metrics_.Counter(
         std::string("net.msgs.") +
         net::MsgCategoryName(static_cast<net::MsgCategory>(c)));

@@ -57,7 +57,7 @@ class Observer : public net::MessageObserver {
   // Hot-path caches into the registry (references stay valid for the
   // registry's lifetime), so OnMessage does no map lookups.
   uint64_t* msgs_total_;
-  uint64_t* by_category_[static_cast<int>(net::MsgCategory::kOther) + 1];
+  uint64_t* by_category_[net::kNumMsgCategories];
   std::vector<uint64_t>* msgs_in_;
   std::vector<uint64_t>* msgs_out_;
   std::vector<uint64_t>* routing_touch_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "net/trail.h"
 #include "util/check.h"
 
 namespace baton {
@@ -50,26 +49,31 @@ struct Later {
 }  // namespace
 
 /// Whole-run state. Lives on RunInternal's stack, so concurrent engines on
-/// a bench worker pool never share anything.
-struct Engine::RunState {
+/// a bench worker pool never share anything. During a run it is the
+/// network's observer: every delivered message's receiver is appended to
+/// `hops`, and the call goes on to the observer attached before the run.
+struct Engine::RunState : net::MessageObserver {
   RunState(const Engine& e, const workload::Trace& t, Rng* rng,
-           net::MessageTrail* tr, bool closed)
+           net::MessageObserver* outer, bool closed)
       : ov(*e.ov_),
         members(e.members_),
         cfg(e.cfg_),
         trace(t),
         op_rng(rng),
-        trail(tr),
+        chained(outer),
         closed_loop(closed),
         nodes(e.cfg_.service_ticks),
         ops(t.size()) {}
+  // The network holds this object's address for the whole run.
+  RunState(const RunState&) = delete;
+  RunState& operator=(const RunState&) = delete;
 
   overlay::Overlay& ov;
   std::vector<net::PeerId>* members;
   const EngineConfig& cfg;
   const workload::Trace& trace;
   Rng* op_rng;
-  net::MessageTrail* trail;
+  net::MessageObserver* chained;  // nullptr when none was attached
   bool closed_loop;
 
   sim::Time now = 0;
@@ -81,6 +85,14 @@ struct Engine::RunState {
   std::vector<net::PeerId> hops;  // every admitted op's receivers, in order
   size_t next_admission = 0;      // closed loop: next trace index to admit
 
+  void OnMessage(net::PeerId from, net::PeerId to, net::MsgType type,
+                 uint64_t send_tick, uint64_t deliver_tick) override {
+    hops.push_back(to);
+    if (chained != nullptr) {
+      chained->OnMessage(from, to, type, send_tick, deliver_tick);
+    }
+  }
+
   void Schedule(sim::Time at, size_t idx, Event::Kind kind) {
     pending.push_back({at, next_seq++, static_cast<uint32_t>(idx), kind});
     std::push_heap(pending.begin(), pending.end(), Later{});
@@ -89,8 +101,9 @@ struct Engine::RunState {
   /// Drives the run until no op is in flight and no arrival is left.
   void Loop(Arrivals* arrivals);
   /// Admits trace op `i` at `now`: the overlay executes it synchronously
-  /// (Replay semantics via ApplyOp), then the captured trail becomes the
-  /// op's hop chain. Returns true when a chain is now in flight.
+  /// (Replay semantics via ApplyOp), and the receivers it appended to
+  /// `hops` become the op's hop chain. Returns true when a chain is now in
+  /// flight.
   bool Admit(size_t i);
   /// Closed loop: walks the trace from `from`, admitting until one op puts
   /// a chain in flight (its end resumes the walk) or the trace ends.
@@ -146,7 +159,7 @@ void Engine::RunState::Loop(Arrivals* arrivals) {
 
 bool Engine::RunState::Admit(size_t i) {
   const Op& op = trace[i];
-  trail->Clear();
+  const size_t first = hops.size();
   const AppliedOp applied = workload::ApplyOp(ov, op, op_rng, members);
   if (!res.replay.Record(op, applied, cfg.replay.record_answers)) {
     return false;
@@ -155,8 +168,7 @@ bool Engine::RunState::Admit(size_t i) {
 
   InFlight& fl = ops[i];
   fl.arrival = now;
-  fl.next = hops.size();
-  for (const net::MessageTrail::Hop& h : trail->hops()) hops.push_back(h.to);
+  fl.next = first;
   fl.end = hops.size();
   if (fl.next == fl.end) {
     // Origin answered locally: no messages, no service demand.
@@ -247,10 +259,8 @@ EngineResult Engine::RunInternal(const workload::Trace& trace,
   // attached to the network (AttachLatency) keeps timing individual ops on
   // its own clock; the engine never touches it.
   net::Network* net = ov_->network();
-  net::MessageTrail trail(net->observer());
-  net->AttachObserver(&trail);
-
-  RunState st(*this, trace, op_rng, &trail, closed_loop);
+  RunState st(*this, trace, op_rng, net->observer(), closed_loop);
+  net->AttachObserver(&st);
   for (const auto& [node, ticks] : cfg_.node_service_overrides) {
     st.nodes.SetNodeServiceTicks(node, ticks);
   }
@@ -262,7 +272,7 @@ EngineResult Engine::RunInternal(const workload::Trace& trace,
   st.res.total_service_ticks = st.nodes.total_busy_ticks();
 
   // Restore the observer chain the engine spliced itself into.
-  net->AttachObserver(trail.chained());
+  net->AttachObserver(st.chained);
 
   return std::move(st.res);
 }

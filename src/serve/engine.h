@@ -12,11 +12,11 @@
 //  1. When its arrival comes due, an op is admitted: the overlay executes
 //     it through the same workload::ApplyOp the sequential Replay uses
 //     (same rng draw discipline, same member bookkeeping, same OpStats),
-//     while a net::MessageTrail captures the operation's message sequence
-//     at the measured-wrapper boundary.
-//  2. The trail then becomes the op's hop chain: hop k is delivered to its
-//     receiver one tick after hop k-1 finished service, waits in
-//     that node's FIFO queue (serve::NodeModel) behind every other
+//     while the engine, attached as the network's message observer for the
+//     run, records the receiver of each message the operation sends.
+//  2. Those receivers, in send order, become the op's hop chain: hop k is
+//     delivered to its receiver one tick after hop k-1 finished service,
+//     waits in that node's FIFO queue (serve::NodeModel) behind every other
 //     in-flight op's messages, is serviced for service_ticks, and only then
 //     releases hop k+1. Ops race each other at hot nodes: queueing delay --
 //     not hop count -- is what separates backends under skewed load.
@@ -35,7 +35,7 @@
 // equal tick, due arrivals come first, in trace order, then continuations
 // in the order they were scheduled.
 //
-// Hops are serviced in trail (causal send) order, one service chain per op:
+// Hops are serviced in causal send order, one service chain per op:
 // fan-out bursts serialize at their receivers rather than racing in
 // parallel. That is deliberate -- every message occupies its receiver for
 // service_ticks of CPU no matter how parallel the wire is, and it is the

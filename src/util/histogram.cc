@@ -19,25 +19,9 @@ void Histogram::Merge(const Histogram& other) {
   sum_ += other.sum_;
 }
 
-void Histogram::Clear() {
-  buckets_.clear();
-  total_count_ = 0;
-  sum_ = 0;
-}
-
 double Histogram::Mean() const {
   if (total_count_ == 0) return 0.0;
   return static_cast<double>(sum_) / static_cast<double>(total_count_);
-}
-
-int64_t Histogram::Min() const {
-  BATON_CHECK(!buckets_.empty());
-  return buckets_.begin()->first;
-}
-
-int64_t Histogram::Max() const {
-  BATON_CHECK(!buckets_.empty());
-  return buckets_.rbegin()->first;
 }
 
 int64_t Histogram::Percentile(double q) const {
@@ -50,11 +34,6 @@ int64_t Histogram::Percentile(double q) const {
     if (seen >= target) return v;
   }
   return buckets_.rbegin()->first;
-}
-
-uint64_t Histogram::CountAt(int64_t value) const {
-  auto it = buckets_.find(value);
-  return it == buckets_.end() ? 0 : it->second;
 }
 
 std::vector<std::pair<int64_t, uint64_t>> Histogram::Buckets() const {

@@ -14,16 +14,11 @@ class Histogram {
  public:
   void Add(int64_t value, uint64_t count = 1);
   void Merge(const Histogram& other);
-  void Clear();
 
   uint64_t total_count() const { return total_count_; }
   double Mean() const;
-  int64_t Min() const;
-  int64_t Max() const;
   /// Value v such that at least q of the mass is <= v; q in [0, 1].
   int64_t Percentile(double q) const;
-  /// Number of samples with exactly this value.
-  uint64_t CountAt(int64_t value) const;
   /// (value, count) pairs in increasing value order.
   std::vector<std::pair<int64_t, uint64_t>> Buckets() const;
 

@@ -106,7 +106,7 @@ TEST(LoadBalance, RestructuresRecordShiftSizes) {
   }
   const Histogram& h = o.overlay->shift_sizes();
   ASSERT_GT(h.total_count(), 0u) << "hot range must force recruits";
-  EXPECT_GE(h.Min(), 1);
+  EXPECT_GE(h.Buckets().front().first, 1);
   o.overlay->CheckInvariants();
 }
 

@@ -158,15 +158,6 @@ TEST(LogHistogram, MergeWithEmptyIsIdentity) {
   EXPECT_EQ(empty, h);
 }
 
-TEST(LogHistogram, ClearResetsToEmpty) {
-  LogHistogram h;
-  h.Add(3);
-  h.Add(uint64_t{1} << 40);
-  h.Clear();
-  EXPECT_EQ(h, LogHistogram{});
-  EXPECT_EQ(h.Quantile(0.5), 0u);
-}
-
 TEST(LogHistogram, BucketEdges) {
   // Unit buckets up to the limit, then one bucket per power of two; the
   // last bucket absorbs the top of the u64 range.

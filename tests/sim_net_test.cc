@@ -2,6 +2,9 @@
 // network.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "net/network.h"
 #include "sim/clock.h"
 #include "sim/latency.h"
@@ -195,11 +198,25 @@ TEST(NetworkSim, UniformSamplingIsDeterministicPerSeed) {
 }
 
 TEST(MsgType, EveryTypeHasNameAndCategory) {
+  std::set<std::string> names;
   for (int i = 0; i < net::kNumMsgTypes; ++i) {
     auto t = static_cast<net::MsgType>(i);
     EXPECT_STRNE(net::MsgTypeName(t), "Unknown") << i;
-    (void)net::CategoryOf(t);  // must not crash
+    EXPECT_TRUE(names.insert(net::MsgTypeName(t)).second)
+        << "duplicate name " << net::MsgTypeName(t);
+    // kOther is the bucket of an unknown type; every figure column would
+    // silently miss a real type billed to it.
+    EXPECT_NE(net::CategoryOf(t), net::MsgCategory::kOther)
+        << net::MsgTypeName(t);
   }
+  EXPECT_STREQ(net::MsgTypeName(net::MsgType::kNumTypes), "Unknown");
+  EXPECT_EQ(net::CategoryOf(net::MsgType::kNumTypes), net::MsgCategory::kOther);
+
+  std::set<std::string> categories;
+  for (int c = 0; c < net::kNumMsgCategories; ++c) {
+    categories.insert(net::MsgCategoryName(static_cast<net::MsgCategory>(c)));
+  }
+  EXPECT_EQ(categories.size(), static_cast<size_t>(net::kNumMsgCategories));
 }
 
 }  // namespace

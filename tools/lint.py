@@ -84,6 +84,12 @@ def selftest(repo_root):
     produce at least one finding of that rule, the good/ mini-tree none."""
     testdata = os.path.join(repo_root, "tools", "lint_rules", "testdata")
     failures = []
+    # A fixture directory no registered rule claims would never run, e.g.
+    # one left behind by a deleted rule.
+    claimed = {rule.NAME for rule in ALL_RULES} | {"pragma"}
+    for name in sorted(os.listdir(testdata)):
+        if name not in claimed:
+            failures.append("testdata/%s/ belongs to no registered rule" % name)
     for rule in ALL_RULES:
         for kind, want in (("bad", True), ("good", False)):
             fixture = os.path.join(testdata, rule.NAME, kind)

@@ -195,11 +195,12 @@ size_t BatonNetwork::FlushDeferred() {
   return pending.size();
 }
 
-void BatonNetwork::RefreshInboundRefs(BatonNode* x, net::MsgType charge) {
+void BatonNetwork::RefreshInboundRefs(BatonNode* x,
+                                      std::optional<net::MsgType> charge) {
   NodeRef self = x->SelfRef();
   PeerId xid = x->id;
   auto send = [&](PeerId holder, RefKind kind, int slot) {
-    Count(xid, holder, charge);
+    if (charge) Count(xid, holder, *charge);
     SendRefUpdate(holder, kind, slot, self);
   };
   if (x->parent.valid()) {
@@ -220,11 +221,6 @@ void BatonNetwork::RefreshInboundRefs(BatonNode* x, net::MsgType charge) {
       send(rt.entry(i).peer, left ? RefKind::kRightRt : RefKind::kLeftRt, i);
     }
   }
-}
-
-void BatonNetwork::RefreshInboundRefsUncharged(BatonNode* x) {
-  NodeRef self = x->SelfRef();
-  ForEachInboundRef(x, [&](BatonNode*, NodeRef* ref) { *ref = self; });
 }
 
 void BatonNetwork::RepairAllLinks() {
@@ -266,7 +262,7 @@ void BatonNetwork::RepairAllLinks() {
   // Second pass: cached metadata (child bits set above may have been copied
   // before the target's own links were repaired).
   for (PeerId id : order) {
-    RefreshInboundRefsUncharged(N(id));
+    RefreshInboundRefs(N(id), std::nullopt);
   }
 }
 

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "baton/node.h"
@@ -205,7 +206,6 @@ class BatonNetwork {
   /// applied. This models "it takes some time for the network to update
   /// knowledge of joining or leaving nodes".
   void SetDeferUpdates(bool defer) { defer_updates_ = defer; }
-  bool defer_updates() const { return defer_updates_; }
   /// Applies every queued update in send order; returns how many there were.
   size_t FlushDeferred();
   size_t deferred_pending() const { return deferred_.size(); }
@@ -260,41 +260,15 @@ class BatonNetwork {
     NodeRef payload;
   };
 
-  /// Calls fn(holder, ref) for every link in the overlay pointing at x
-  /// (parent's child ref, children's parent refs, adjacents' refs, reverse
-  /// routing-table entries), discovered through x's own links. Immediate
-  /// mode only (holds raw pointers). Static visitor: runs on every
-  /// join/leave/relocation, so the callback must not cost an allocation.
-  template <typename Fn>
-  void ForEachInboundRef(BatonNode* x, Fn&& fn) {
-    // The holders of links to x are exactly the targets of x's own symmetric
-    // links: its parent, children, two adjacent nodes, and the same-level
-    // nodes in its routing tables (whose opposite-side entry at the same
-    // slot points back at x, by construction).
-    if (BatonNode* p = NodeOrNull(x->parent)) {
-      NodeRef* ref = x->pos.IsLeftChild() ? &p->left_child : &p->right_child;
-      fn(p, ref);
-    }
-    if (BatonNode* c = NodeOrNull(x->left_child)) fn(c, &c->parent);
-    if (BatonNode* c = NodeOrNull(x->right_child)) fn(c, &c->parent);
-    if (BatonNode* a = NodeOrNull(x->left_adj)) fn(a, &a->right_adj);
-    if (BatonNode* a = NodeOrNull(x->right_adj)) fn(a, &a->left_adj);
-    for (int side = 0; side < 2; ++side) {
-      RoutingTable& rt = side == 0 ? x->left_rt : x->right_rt;
-      for (int i = 0; i < rt.size(); ++i) {
-        if (!rt.entry(i).valid()) continue;
-        BatonNode* nb = N(rt.entry(i).peer);
-        RoutingTable& back = side == 0 ? nb->right_rt : nb->left_rt;
-        if (i < back.size() && back.entry(i).peer == x->id) {
-          fn(nb, &back.entry(i));
-        }
-      }
-    }
-  }
   /// Refreshes cached metadata (pos/range/child bits) about x at every
-  /// holder, charging one `charge` message per holder.
-  void RefreshInboundRefs(BatonNode* x, net::MsgType charge);
-  void RefreshInboundRefsUncharged(BatonNode* x);
+  /// holder of a link to x, through SendRefUpdate. The holders are exactly
+  /// the targets of x's own symmetric links: its parent, children, two
+  /// adjacent nodes, and the same-level nodes in its routing tables (whose
+  /// opposite-side entry at the same slot points back at x, by
+  /// construction). Charges one `charge` message per holder. std::nullopt
+  /// charges none: a relocation already paid for these links in its
+  /// handover, and the anti-entropy pass is uncharged.
+  void RefreshInboundRefs(BatonNode* x, std::optional<net::MsgType> charge);
 
   /// Re-derives both routing tables of x from the directory, charging one
   /// kTableUpdate per populated entry and installing the reverse entries.
@@ -335,6 +309,11 @@ class BatonNetwork {
   /// Detaches leaf x whose content was already handed off elsewhere (load
   /// balancing): clears links, notifies neighbours, unindexes.
   void DetachLeaf(BatonNode* x);
+  /// The departure steps every leaf x runs, in this order: clear x's slot
+  /// at its parent p, unsplice x from adjacency, null the sideways entries
+  /// pointing at x, refresh the links caching p, unindex x and drop its
+  /// replica set. Content, range and liveness are the caller's.
+  void UnlinkLeaf(BatonNode* x, BatonNode* p);
   PeerId RunFindReplacement(BatonNode* start, int* hops);
   PeerId FindReplacementStart(BatonNode* x, int* hops);
   void ReplaceNode(BatonNode* x, BatonNode* z, bool content_lost);

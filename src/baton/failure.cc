@@ -26,27 +26,20 @@ void BatonNetwork::RegenerateFailedState(BatonNode* x, BatonNode* initiator) {
   // hop below a neighbour of x's parent) and locates x's children the same
   // way. In the simulator x's state object is still current -- the links
   // kept receiving updates -- so regeneration only needs to be *charged*.
+  auto probe = [&](const NodeRef& e) {
+    if (!e.valid()) return;
+    if (!net_->IsAlive(e.peer)) {
+      Count(initiator->id, e.peer, net::MsgType::kDeadProbe);
+      return;
+    }
+    Count(initiator->id, e.peer, net::MsgType::kRecoveryProbe);
+    Count(e.peer, initiator->id, net::MsgType::kRecoveryReply);
+  };
   for (const RoutingTable* rt : {&x->left_rt, &x->right_rt}) {
-    for (int i = 0; i < rt->size(); ++i) {
-      const NodeRef& e = rt->entry(i);
-      if (!e.valid()) continue;
-      if (!net_->IsAlive(e.peer)) {
-        Count(initiator->id, e.peer, net::MsgType::kDeadProbe);
-        continue;
-      }
-      Count(initiator->id, e.peer, net::MsgType::kRecoveryProbe);
-      Count(e.peer, initiator->id, net::MsgType::kRecoveryReply);
-    }
+    for (int i = 0; i < rt->size(); ++i) probe(rt->entry(i));
   }
-  for (const NodeRef* child : {&x->left_child, &x->right_child}) {
-    if (!child->valid()) continue;
-    if (!net_->IsAlive(child->peer)) {
-      Count(initiator->id, child->peer, net::MsgType::kDeadProbe);
-      continue;
-    }
-    Count(initiator->id, child->peer, net::MsgType::kRecoveryProbe);
-    Count(child->peer, initiator->id, net::MsgType::kRecoveryReply);
-  }
+  probe(x->left_child);
+  probe(x->right_child);
 }
 
 bool BatonNetwork::TryRestoreContent(BatonNode* x, BatonNode* initiator) {

@@ -164,26 +164,18 @@ void BatonNetwork::SpliceIntoAdjacency(BatonNode* y, BatonNode* x,
 }
 
 void BatonNetwork::UnspliceFromAdjacency(BatonNode* x) {
-  // x's neighbours link to each other; payloads are x's current caches.
-  if (x->left_adj.valid()) {
-    Count(x->id, x->left_adj.peer, net::MsgType::kAdjacentUpdate);
-    if (x->right_adj.valid()) {
-      SendRefUpdate(x->left_adj.peer, RefKind::kRightAdj, 0, x->right_adj);
-    } else {
-      NodeRef cleared;
-      cleared.pos = x->pos;  // unused for adjacency clears
-      SendRefUpdate(x->left_adj.peer, RefKind::kRightAdj, 0, cleared);
-    }
-  }
-  if (x->right_adj.valid()) {
-    Count(x->id, x->right_adj.peer, net::MsgType::kAdjacentUpdate);
-    if (x->left_adj.valid()) {
-      SendRefUpdate(x->right_adj.peer, RefKind::kLeftAdj, 0, x->left_adj);
-    } else {
-      NodeRef cleared;
-      cleared.pos = x->pos;
-      SendRefUpdate(x->right_adj.peer, RefKind::kLeftAdj, 0, cleared);
-    }
+  // x's neighbours link to each other: each hears x's cache of the other.
+  // With no neighbour beyond x the payload is the clear marker, which
+  // ApplyRefUpdate applies only while the link still points at x's position.
+  NodeRef cleared;
+  cleared.pos = x->pos;
+  for (bool left : {true, false}) {
+    const NodeRef& near = left ? x->left_adj : x->right_adj;
+    const NodeRef& far = left ? x->right_adj : x->left_adj;
+    if (!near.valid()) continue;
+    Count(x->id, near.peer, net::MsgType::kAdjacentUpdate);
+    SendRefUpdate(near.peer, left ? RefKind::kRightAdj : RefKind::kLeftAdj, 0,
+                  far.valid() ? far : cleared);
   }
 }
 

@@ -3,6 +3,8 @@
 // finds a replacement leaf with Algorithm 2, which then takes over the
 // departing node's position. Message accounting follows the paper's
 // 2L1 + 2L2 + 2 (direct leave) and 8 log N (replacement) bounds.
+#include <utility>
+
 #include "baton/baton_network.h"
 
 namespace baton {
@@ -94,32 +96,16 @@ void BatonNetwork::SafeLeaveAsLeaf(BatonNode* x, bool transfer_content,
     lost_keys_ += x->data.size();
     x->data = KeyBag{};
   }
-  bool was_left = x->pos.IsLeftChild();
-  if (was_left) {
+  if (x->pos.IsLeftChild()) {
     BATON_CHECK_EQ(x->range.hi, p->range.lo);
     p->range.lo = x->range.lo;
-    p->left_child.Clear();
   } else {
     BATON_CHECK_EQ(p->range.hi, x->range.lo);
     p->range.hi = x->range.hi;
-    p->right_child.Clear();
   }
 
-  // 2. Adjacent links bypass x.
-  UnspliceFromAdjacency(x);
-
-  // 3. LEAVE messages null the neighbours' entries pointing at x (<= 2 L2).
-  ClearReverseEntriesAt(x->pos, x->id);
-
-  // 4. The parent's range and child bits changed: refresh every link that
-  //    caches them (<= 2 L1 sideways plus a constant).
-  RefreshInboundRefs(p, net::MsgType::kChildStatusNotify);
-
-  UnindexPosition(x);
-  x->in_overlay = false;
-  x->left_adj.Clear();
-  x->right_adj.Clear();
-  ReplicaDropPrimary(x);  // charged only when x is alive to announce it
+  // 2. x's links are bypassed and cleared.
+  UnlinkLeaf(x, p);
   net_->MarkDead(x->id);
   // The parent's bag grew by the handover: its replicas must hear about it.
   // When the parent is itself a dead pending failure (the child's recovery
@@ -147,81 +133,64 @@ void BatonNetwork::DetachLeaf(BatonNode* x) {
   BATON_CHECK(x->parent.valid());
   BatonNode* p = N(x->parent.peer);
   Count(x->id, p->id, net::MsgType::kParentNotify);
+  // x's bag was already handed off (it is about to rejoin elsewhere with new
+  // content), so the replica set UnlinkLeaf drops is obsolete. x stays up,
+  // so replicas *it* holds for other primaries remain valid.
+  UnlinkLeaf(x, p);
+}
+
+void BatonNetwork::UnlinkLeaf(BatonNode* x, BatonNode* p) {
   if (x->pos.IsLeftChild()) {
     p->left_child.Clear();
   } else {
     p->right_child.Clear();
   }
+
+  // Adjacent links bypass x.
   UnspliceFromAdjacency(x);
+
+  // LEAVE messages null the neighbours' entries pointing at x (<= 2 L2).
   ClearReverseEntriesAt(x->pos, x->id);
+
+  // The parent's child bits (and, on a departure, its range) changed:
+  // refresh every link that caches them (<= 2 L1 sideways plus a constant).
   RefreshInboundRefs(p, net::MsgType::kChildStatusNotify);
+
   UnindexPosition(x);
   x->in_overlay = false;
   x->left_adj.Clear();
   x->right_adj.Clear();
-  // x's bag was already handed off (it is about to rejoin elsewhere with new
-  // content); its old replica set is obsolete. x stays up, so replicas *it*
-  // holds for other primaries remain valid.
-  ReplicaDropPrimary(x);
+  ReplicaDropPrimary(x);  // charged only when x is alive to announce it
 }
 
 PeerId BatonNetwork::FindReplacementStart(BatonNode* x, int* hops) {
-  // Hop helper that respects liveness: a dead candidate costs a timed-out
-  // probe and is skipped (multiple simultaneous failures, section III-D).
-  auto live = [&](PeerId p, PeerId prober) {
-    if (net_->IsAlive(p)) return true;
-    Count(prober, p, net::MsgType::kDeadProbe);
-    return false;
-  };
-  BatonNode* start = nullptr;
-  if (x->IsLeaf()) {
-    // A leaf that cannot leave directly has a sideways neighbour with a
-    // child: the FINDREPLACEMENT request goes to that child.
-    for (const RoutingTable* rt : {&x->left_rt, &x->right_rt}) {
-      for (int i = 0; i < rt->size() && start == nullptr; ++i) {
-        const NodeRef& e = rt->entry(i);
-        if (!e.valid() || !e.HasChild() || !live(e.peer, x->id)) continue;
-        BatonNode* nb = N(e.peer);
-        Count(x->id, nb->id, net::MsgType::kReplacementForward);
-        ++*hops;
-        for (const NodeRef* c : {&nb->left_child, &nb->right_child}) {
-          if (!c->valid() || !live(c->peer, nb->id)) continue;
-          Count(nb->id, c->peer, net::MsgType::kReplacementForward);
-          ++*hops;
-          start = N(c->peer);
-          break;
-        }
-      }
-    }
-  } else {
-    // Internal node: descend through an adjacent node, "a leaf node, or as
-    // deep as possible". Prefer the deeper adjacent.
-    std::vector<const NodeRef*> adjs;
-    if (x->left_adj.valid() && x->right_adj.valid()) {
-      if (x->left_adj.pos.level >= x->right_adj.pos.level) {
-        adjs = {&x->left_adj, &x->right_adj};
-      } else {
-        adjs = {&x->right_adj, &x->left_adj};
-      }
-    } else if (x->left_adj.valid()) {
-      adjs = {&x->left_adj};
-    } else if (x->right_adj.valid()) {
-      adjs = {&x->right_adj};
-    }
-    for (const NodeRef* adj : adjs) {
-      if (!live(adj->peer, x->id)) continue;
-      Count(x->id, adj->peer, net::MsgType::kReplacementForward);
-      ++*hops;
-      start = N(adj->peer);
-      break;
-    }
+  // A leaf that cannot leave directly has a sideways neighbour with a child:
+  // Algorithm 2's own first step sends the FINDREPLACEMENT request there.
+  if (x->IsLeaf()) return RunFindReplacement(x, hops);
+  // Internal node: descend through an adjacent node, "a leaf node, or as
+  // deep as possible". The deeper adjacent goes first (the left one on a
+  // tie); a dead one costs a timed-out probe and is skipped.
+  const NodeRef* adjs[2] = {&x->left_adj, &x->right_adj};
+  if (x->right_adj.pos.level > x->left_adj.pos.level) {
+    std::swap(adjs[0], adjs[1]);
   }
-  if (start == nullptr) return kNullPeer;
-  return RunFindReplacement(start, hops);
+  for (const NodeRef* adj : adjs) {
+    if (!adj->valid()) continue;
+    if (!net_->IsAlive(adj->peer)) {
+      Count(x->id, adj->peer, net::MsgType::kDeadProbe);
+      continue;
+    }
+    Count(x->id, adj->peer, net::MsgType::kReplacementForward);
+    ++*hops;
+    return RunFindReplacement(N(adj->peer), hops);
+  }
+  return kNullPeer;
 }
 
 PeerId BatonNetwork::RunFindReplacement(BatonNode* start, int* hops) {
-  // Algorithm 2: always descend, so at most height-of-tree steps.
+  // Algorithm 2: always descend, so at most height-of-tree steps. A dead
+  // candidate costs a timed-out probe and is skipped (multiple simultaneous
+  // failures, section III-D).
   auto live = [&](PeerId p, PeerId prober) {
     if (net_->IsAlive(p)) return true;
     Count(prober, p, net::MsgType::kDeadProbe);

@@ -205,13 +205,10 @@ bool BatonNetwork::ExecuteRecruit(BatonNode* v, BatonNode* f) {
   Position vacated = f->pos;
   BatonNode* pred = NodeOrNull(f->left_adj);
   BatonNode* succ = NodeOrNull(f->right_adj);
+  bool safe = SafeToRemove(f);
+  DetachLeaf(f);
   int shifts = 0;
-  if (SafeToRemove(f)) {
-    DetachLeaf(f);
-  } else {
-    DetachLeaf(f);
-    shifts += FillVacancy(vacated, pred, succ, /*prefer_left=*/true);
-  }
+  if (!safe) shifts += FillVacancy(vacated, pred, succ, /*prefer_left=*/true);
 
   // 4. f rejoins next to v, taking the lower half of v's content; the shift
   //    chain walks toward f's old neighbourhood, where a slot was freed.

@@ -203,7 +203,7 @@ void BatonNetwork::RelocateNodes(const std::vector<Move>& moves) {
   }
   // Phase 4: push final metadata into every link that caches a mover.
   for (const Move& m : moves) {
-    RefreshInboundRefsUncharged(m.node);
+    RefreshInboundRefs(m.node, std::nullopt);
   }
   // Parents of freshly created slots gained a child: their same-level
   // neighbours (and other cachers) must hear about the new child bit. This

@@ -42,6 +42,14 @@ double LogHistogram::Mean() const {
 }
 
 uint64_t LogHistogram::Quantile(double q) const {
+  return Estimate(q, /*interpolate=*/false);
+}
+
+uint64_t LogHistogram::QuantileInterp(double q) const {
+  return Estimate(q, /*interpolate=*/true);
+}
+
+uint64_t LogHistogram::Estimate(double q, bool interpolate) const {
   if (count_ == 0) return 0;
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
@@ -57,52 +65,25 @@ uint64_t LogHistogram::Quantile(double q) const {
   if (rank == count_) return max_;
   uint64_t cum = 0;
   for (int i = 0; i < kNumBuckets; ++i) {
-    cum += buckets_[static_cast<size_t>(i)];
-    if (cum < rank) continue;
-    if (i < static_cast<int>(kExactLimit)) return static_cast<uint64_t>(i);
-    // Mid-bucket representative, clamped to the observed extremes so
-    // saturated tails (every sample in one bucket) report real values.
-    uint64_t lo = BucketLow(i);
-    uint64_t mid = lo + lo / 2;
-    if (mid < min_) mid = min_;
-    if (mid > max_) mid = max_;
-    return mid;
-  }
-  return max();  // unreachable: cum reaches count_ >= rank
-}
-
-uint64_t LogHistogram::QuantileInterp(double q) const {
-  if (count_ == 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  // Same rank rule as Quantile(): 1-based rank ceil(q * count) in [1, count].
-  uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(count_));
-  if (static_cast<double>(rank) < q * static_cast<double>(count_)) ++rank;
-  if (rank == 0) rank = 1;
-  if (rank > count_) rank = count_;
-  if (rank == 1) return min_;
-  if (rank == count_) return max_;
-  uint64_t cum = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
     uint64_t in_bucket = buckets_[static_cast<size_t>(i)];
     if (cum + in_bucket < rank) {
       cum += in_bucket;
       continue;
     }
     if (i < static_cast<int>(kExactLimit)) return static_cast<uint64_t>(i);
-    // Place the target rank linearly within the bucket's value range by its
-    // offset among the bucket's samples: offset 1 of k maps near lo, offset
-    // k near the bucket's top (2*lo - 1). Degenerates to the midpoint for a
-    // single-sample bucket. Clamp to the observed extremes like Quantile().
+    // Power-of-two buckets span [lo, 2*lo). Quantile answers the midpoint.
+    // QuantileInterp places the target rank linearly within the bucket by
+    // its offset among the bucket's samples: offset 1 of k maps near lo,
+    // offset k near the top (2*lo - 1), and a single sample at the
+    // midpoint. Either is clamped to the observed extremes so saturated
+    // tails (every sample in one bucket) report real values.
     uint64_t lo = BucketLow(i);
-    uint64_t width = lo;  // power-of-two buckets span [lo, 2*lo)
-    uint64_t offset = rank - cum;  // 1-based position within the bucket
-    double frac = in_bucket <= 1
-                      ? 0.5
-                      : static_cast<double>(offset - 1) /
-                            static_cast<double>(in_bucket - 1);
-    uint64_t v = lo + static_cast<uint64_t>(
-                          frac * static_cast<double>(width - 1) + 0.5);
+    uint64_t v = lo + lo / 2;
+    if (interpolate && in_bucket > 1) {
+      double frac = static_cast<double>(rank - cum - 1) /
+                    static_cast<double>(in_bucket - 1);
+      v = lo + static_cast<uint64_t>(frac * static_cast<double>(lo - 1) + 0.5);
+    }
     if (v < min_) v = min_;
     if (v > max_) v = max_;
     return v;

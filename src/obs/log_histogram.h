@@ -75,6 +75,8 @@ class LogHistogram {
 
  private:
   static int BucketIndex(uint64_t value);
+  /// Quantile (bucket midpoint) or QuantileInterp (rank interpolation).
+  uint64_t Estimate(double q, bool interpolate) const;
 
   std::array<uint64_t, kNumBuckets> buckets_{};
   uint64_t count_ = 0;

@@ -160,8 +160,8 @@ class Overlay {
   /// Attaches a fault-injection plan to the backend's network (same
   /// lifecycle contract as the sim and obs attachments: per instance,
   /// opt-in, non-owning, nullptr detaches). While attached, the measured
-  /// wrapper runs read operations under the resilience() policy -- per-
-  /// attempt loss/timeout detection, bounded retry with deterministic
+  /// wrapper runs read operations under the policy given to SetResilience
+  /// -- per-attempt loss/timeout detection, bounded retry with deterministic
   /// backoff, RetryOrigin rerouting -- and fills the OpStats resilience
   /// fields. Detached (the default) every hot path pays one null check and
   /// output is byte-identical to a fault-free build.
@@ -182,7 +182,6 @@ class Overlay {
   /// policy (no retries, no timeout) makes every message loss in a read
   /// operation fatal to it -- the honest baseline benches compare against.
   void SetResilience(const fault::Policy& p) { resilience_ = p; }
-  const fault::Policy& resilience() const { return resilience_; }
 
   /// Fallback origin for retry `attempt` (1-based) of a read operation
   /// that started at `origin`: backends override this to re-resolve via
@@ -330,7 +329,7 @@ class Overlay {
   template <typename Fn>
   OpStats Measured(const char* op, PeerId origin, bool retryable, Fn&& fn);
   /// The body of Measured: one sim window per attempt, with retries under
-  /// the resilience() policy while a fault plan is attached.
+  /// the policy given to SetResilience while a fault plan is attached.
   template <typename Fn>
   void RunAttempts(net::Network* net, PeerId origin, bool retryable,
                    Fn&& fn, OpStats* st);

@@ -248,11 +248,6 @@ size_t ReplicationManager::live_replica_count(net::PeerId primary) const {
   return live;
 }
 
-uint64_t ReplicationManager::version_of(net::PeerId primary) const {
-  const PrimaryState* st = primaries_.Find(primary);
-  return st == nullptr ? 0 : st->version;
-}
-
 std::vector<net::PeerId> ReplicationManager::HoldersOf(
     net::PeerId primary) const {
   std::vector<net::PeerId> out;

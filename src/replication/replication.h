@@ -152,7 +152,6 @@ class ReplicationManager {
   /// Replicas whose holder is currently alive (the ones that actually
   /// protect the primary right now).
   size_t live_replica_count(net::PeerId primary) const;
-  uint64_t version_of(net::PeerId primary) const;
   std::vector<net::PeerId> HoldersOf(net::PeerId primary) const;
   const KeyBag* ReplicaAt(net::PeerId primary, net::PeerId holder) const;
   /// Total keys held in replicas across all primaries (storage overhead).

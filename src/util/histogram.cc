@@ -1,6 +1,7 @@
 #include "util/histogram.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "util/check.h"
@@ -27,7 +28,9 @@ double Histogram::Mean() const {
 int64_t Histogram::Percentile(double q) const {
   BATON_CHECK(!buckets_.empty());
   q = std::clamp(q, 0.0, 1.0);
-  uint64_t target = static_cast<uint64_t>(q * static_cast<double>(total_count_));
+  // The 1-based rank ceil(q * count), as obs::LogHistogram::Quantile uses.
+  uint64_t target =
+      static_cast<uint64_t>(std::ceil(q * static_cast<double>(total_count_)));
   uint64_t seen = 0;
   for (const auto& [v, c] : buckets_) {
     seen += c;

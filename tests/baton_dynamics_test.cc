@@ -63,6 +63,7 @@ TEST(Dynamics, QueriesSucceedDuringChurnWindow) {
   o.overlay->FlushDeferred();
   o.overlay->SetDeferUpdates(false);
   o.overlay->RepairAllLinks();  // the stabilisation pass converges the rest
+  o.overlay->CheckInvariants();
   for (int i = 0; i < 100; ++i) {
     auto r = o.overlay->ExactSearch(
         o.members[rng.NextBelow(o.members.size())],
@@ -124,8 +125,9 @@ TEST(Dynamics, ApplyRefUpdateDropsMismatchedSlots) {
   o.overlay->FlushDeferred();
   o.overlay->SetDeferUpdates(false);
   o.overlay->RepairAllLinks();
-  // The overlay may be transiently unbalanced after heavy churn, but all
-  // queries must still work and caches converge for the current members.
+  // The repair leaves every cached link consistent and the tree balanced,
+  // so all queries must work.
+  o.overlay->CheckInvariants();
   int ok_count = 0;
   for (int i = 0; i < 100; ++i) {
     auto r = o.overlay->ExactSearch(
@@ -180,6 +182,7 @@ TEST(Dynamics, RepeatedChurnRoundsConverge) {
     o.overlay->FlushDeferred();
     o.overlay->SetDeferUpdates(false);
     o.overlay->RepairAllLinks();
+    o.overlay->CheckInvariants();
     // After each quiet period, queries route normally from everywhere.
     for (int i = 0; i < 50; ++i) {
       auto r = o.overlay->ExactSearch(

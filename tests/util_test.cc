@@ -164,6 +164,11 @@ TEST(Histogram, Percentiles) {
   EXPECT_EQ(h.Percentile(0.5), 50);
   EXPECT_EQ(h.Percentile(0.99), 99);
   EXPECT_EQ(h.Percentile(1.0), 100);
+  // The rank is ceil(q * count): over 1..5 the median is 3, not 2.
+  Histogram five;
+  for (int i = 1; i <= 5; ++i) five.Add(i);
+  EXPECT_EQ(five.Percentile(0.5), 3);
+  EXPECT_EQ(five.Percentile(0.99), 5);
 }
 
 TEST(Histogram, MergeAddsCounts) {

@@ -224,6 +224,13 @@ class BatonNetwork {
   void Count(PeerId from, PeerId to, net::MsgType type) {
     net_->Count(from, to, type);
   }
+  /// Whether `to` answers `from`. A probe of a dead peer times out and
+  /// costs one kDeadProbe.
+  bool Probe(PeerId from, PeerId to) {
+    if (net_->IsAlive(to)) return true;
+    Count(from, to, net::MsgType::kDeadProbe);
+    return false;
+  }
 
   // ---- directory maintenance (simulator state) ----
   void IndexPosition(BatonNode* n);
@@ -309,10 +316,8 @@ class BatonNetwork {
   /// Detaches leaf x whose content was already handed off elsewhere (load
   /// balancing): clears links, notifies neighbours, unindexes.
   void DetachLeaf(BatonNode* x);
-  /// The departure steps every leaf x runs, in this order: clear x's slot
-  /// at its parent p, unsplice x from adjacency, null the sideways entries
-  /// pointing at x, refresh the links caching p, unindex x and drop its
-  /// replica set. Content, range and liveness are the caller's.
+  /// The departure steps every leaf x with parent p runs. Content, range
+  /// and liveness are the caller's.
   void UnlinkLeaf(BatonNode* x, BatonNode* p);
   PeerId RunFindReplacement(BatonNode* start, int* hops);
   PeerId FindReplacementStart(BatonNode* x, int* hops);

@@ -27,11 +27,7 @@ void BatonNetwork::RegenerateFailedState(BatonNode* x, BatonNode* initiator) {
   // way. In the simulator x's state object is still current -- the links
   // kept receiving updates -- so regeneration only needs to be *charged*.
   auto probe = [&](const NodeRef& e) {
-    if (!e.valid()) return;
-    if (!net_->IsAlive(e.peer)) {
-      Count(initiator->id, e.peer, net::MsgType::kDeadProbe);
-      return;
-    }
+    if (!e.valid() || !Probe(initiator->id, e.peer)) return;
     Count(initiator->id, e.peer, net::MsgType::kRecoveryProbe);
     Count(e.peer, initiator->id, net::MsgType::kRecoveryReply);
   };

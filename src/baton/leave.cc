@@ -175,11 +175,7 @@ PeerId BatonNetwork::FindReplacementStart(BatonNode* x, int* hops) {
     std::swap(adjs[0], adjs[1]);
   }
   for (const NodeRef* adj : adjs) {
-    if (!adj->valid()) continue;
-    if (!net_->IsAlive(adj->peer)) {
-      Count(x->id, adj->peer, net::MsgType::kDeadProbe);
-      continue;
-    }
+    if (!adj->valid() || !Probe(x->id, adj->peer)) continue;
     Count(x->id, adj->peer, net::MsgType::kReplacementForward);
     ++*hops;
     return RunFindReplacement(N(adj->peer), hops);
@@ -191,11 +187,6 @@ PeerId BatonNetwork::RunFindReplacement(BatonNode* start, int* hops) {
   // Algorithm 2: always descend, so at most height-of-tree steps. A dead
   // candidate costs a timed-out probe and is skipped (multiple simultaneous
   // failures, section III-D).
-  auto live = [&](PeerId p, PeerId prober) {
-    if (net_->IsAlive(p)) return true;
-    Count(prober, p, net::MsgType::kDeadProbe);
-    return false;
-  };
   BatonNode* n = start;
   int guard = config_.max_hops_factor * (Height() + 2) + 8;
   while (true) {
@@ -205,7 +196,7 @@ PeerId BatonNetwork::RunFindReplacement(BatonNode* start, int* hops) {
     }
     BatonNode* deeper = nullptr;
     for (const NodeRef* c : {&n->left_child, &n->right_child}) {
-      if (!c->valid() || !live(c->peer, n->id)) continue;
+      if (!c->valid() || !Probe(n->id, c->peer)) continue;
       Count(n->id, c->peer, net::MsgType::kReplacementForward);
       ++*hops;
       deeper = N(c->peer);
@@ -217,12 +208,12 @@ PeerId BatonNetwork::RunFindReplacement(BatonNode* start, int* hops) {
       for (const RoutingTable* rt : {&n->left_rt, &n->right_rt}) {
         for (int i = 0; i < rt->size() && deeper == nullptr; ++i) {
           const NodeRef& e = rt->entry(i);
-          if (!e.valid() || !e.HasChild() || !live(e.peer, n->id)) continue;
+          if (!e.valid() || !e.HasChild() || !Probe(n->id, e.peer)) continue;
           BatonNode* nb = N(e.peer);
           Count(n->id, nb->id, net::MsgType::kReplacementForward);
           ++*hops;
           for (const NodeRef* c : {&nb->left_child, &nb->right_child}) {
-            if (!c->valid() || !live(c->peer, nb->id)) continue;
+            if (!c->valid() || !Probe(nb->id, c->peer)) continue;
             Count(nb->id, c->peer, net::MsgType::kReplacementForward);
             ++*hops;
             deeper = N(c->peer);

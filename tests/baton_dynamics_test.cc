@@ -125,8 +125,8 @@ TEST(Dynamics, ApplyRefUpdateDropsMismatchedSlots) {
   o.overlay->FlushDeferred();
   o.overlay->SetDeferUpdates(false);
   o.overlay->RepairAllLinks();
-  // The repair leaves every cached link consistent and the tree balanced,
-  // so all queries must work.
+  // Churn keeps the tree balanced, and the repair leaves every cached link
+  // consistent, so all queries must work.
   o.overlay->CheckInvariants();
   int ok_count = 0;
   for (int i = 0; i < 100; ++i) {

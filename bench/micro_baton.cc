@@ -1,7 +1,8 @@
 // Micro benchmarks (google-benchmark) for the core data structures: position
-// arithmetic, routing-table slot math, key storage, the flat position
-// directory (vs std::unordered_map), the in-order member walk, end-to-end
-// search on a prebuilt overlay, and the Zipf sampler.
+// arithmetic, the routing-row move on a level change, key storage, the flat
+// position directory (vs std::unordered_map), the in-order member walk,
+// end-to-end exact and range search on a prebuilt overlay, and the Zipf
+// sampler.
 #include <benchmark/benchmark.h>
 
 #include <unordered_map>
@@ -23,16 +24,22 @@ void BM_PositionInOrderKey(benchmark::State& state) {
 }
 BENCHMARK(BM_PositionInOrderKey);
 
-void BM_RoutingTableReset(benchmark::State& state) {
-  Position p{static_cast<uint32_t>(state.range(0)), 1};
-  p.number = p.LevelWidth() / 2 + 1;
-  RoutingTable rt;
+// A node that changes level hands its routing row back to the old level's
+// slab and takes a nulled one at the new level (BatonNetwork::SetPosition);
+// each iteration is one such move, between levels L and L+1.
+void BM_RoutingRowLevelMove(benchmark::State& state) {
+  auto level = static_cast<uint32_t>(state.range(0));
+  RoutingRows rows[2] = {RoutingRows(level), RoutingRows(level + 1)};
+  int at = 0;
+  uint32_t row = rows[at].Acquire(/*owner=*/0);
   for (auto _ : state) {
-    rt.Reset(p, /*left=*/true);
-    benchmark::DoNotOptimize(rt.size());
+    rows[at].Release(row);
+    at ^= 1;
+    row = rows[at].Acquire(/*owner=*/0);
+    benchmark::DoNotOptimize(rows[at].hot(row, /*left=*/false));
   }
 }
-BENCHMARK(BM_RoutingTableReset)->Arg(8)->Arg(16)->Arg(24);
+BENCHMARK(BM_RoutingRowLevelMove)->Arg(8)->Arg(16)->Arg(24);
 
 void BM_KeyBagInsertErase(benchmark::State& state) {
   Rng rng(1);
@@ -132,27 +139,51 @@ void BM_MembersInOrderWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_MembersInOrderWalk)->Arg(1024)->Arg(16384);
 
-void BM_ExactSearch(benchmark::State& state) {
+// A joins-only overlay of `n` nodes holding 10 uniform keys per node.
+struct SearchBed {
   net::Network net;
-  BatonNetwork overlay(BatonConfig{}, &net, 99);
-  Rng rng(3);
-  std::vector<net::PeerId> members{overlay.Bootstrap()};
-  for (int i = 1; i < state.range(0); ++i) {
-    members.push_back(
-        overlay.Join(members[rng.NextBelow(members.size())]).value());
+  BatonNetwork overlay{BatonConfig{}, &net, 99};
+  std::vector<net::PeerId> members;
+  Rng rng{3};
+
+  explicit SearchBed(int64_t n) {
+    members.push_back(overlay.Bootstrap());
+    for (int64_t i = 1; i < n; ++i) {
+      members.push_back(
+          overlay.Join(members[rng.NextBelow(members.size())]).value());
+    }
+    for (int64_t i = 0; i < 10 * n; ++i) {
+      Status s = overlay.Insert(members[rng.NextBelow(members.size())],
+                                rng.UniformInt(1, 999999999));
+      BATON_CHECK(s.ok());
+    }
   }
-  for (int i = 0; i < 10 * state.range(0); ++i) {
-    Status s = overlay.Insert(members[rng.NextBelow(members.size())],
-                              rng.UniformInt(1, 999999999));
-    BATON_CHECK(s.ok());
-  }
+  net::PeerId Origin() { return members[rng.NextBelow(members.size())]; }
+};
+
+// 65,536 nodes is lookup-uniform's bed size; the smaller beds fit in cache,
+// so only that one shows what the memory layout costs a hop.
+void BM_ExactSearch(benchmark::State& state) {
+  SearchBed bed(state.range(0));
   for (auto _ : state) {
-    auto res = overlay.ExactSearch(members[rng.NextBelow(members.size())],
-                                   rng.UniformInt(1, 999999999));
+    auto res = bed.overlay.ExactSearch(bed.Origin(),
+                                       bed.rng.UniformInt(1, 999999999));
     benchmark::DoNotOptimize(res.ok());
   }
 }
-BENCHMARK(BM_ExactSearch)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_ExactSearch)->Arg(256)->Arg(1024)->Arg(4096)->Arg(65536);
+
+// lookup-uniform's range query: width 10^6, routed to its first node and
+// scanned along adjacent links and right-table jumps.
+void BM_RangeSearch(benchmark::State& state) {
+  SearchBed bed(state.range(0));
+  for (auto _ : state) {
+    Key lo = bed.rng.UniformInt(1, 999000000);
+    auto res = bed.overlay.RangeSearch(bed.Origin(), lo, lo + 1000000);
+    benchmark::DoNotOptimize(res.ok());
+  }
+}
+BENCHMARK(BM_RangeSearch)->Arg(4096)->Arg(65536);
 
 void BM_JoinLeaveCycle(benchmark::State& state) {
   net::Network net;

@@ -13,40 +13,67 @@ BatonNetwork::BatonNetwork(const BatonConfig& config, net::Network* net,
       config.replication, net);
 }
 
-BatonNode* BatonNetwork::N(PeerId p) {
-  BATON_CHECK_LT(p, nodes_.size());
-  return nodes_[p].get();
-}
-
-const BatonNode* BatonNetwork::N(PeerId p) const {
-  BATON_CHECK_LT(p, nodes_.size());
-  return nodes_[p].get();
-}
-
-BatonNode* BatonNetwork::NodeOrNull(const NodeRef& ref) {
-  if (!ref.valid()) return nullptr;
-  return N(ref.peer);
-}
-
 const BatonNode& BatonNetwork::node(PeerId p) const { return *N(p); }
 
 bool BatonNetwork::InOverlay(PeerId p) const {
   if (p >= nodes_.size()) return false;
-  return nodes_[p]->in_overlay;
+  return nodes_[p].in_overlay;
 }
 
 PeerId BatonNetwork::Bootstrap() {
   BATON_CHECK(!bootstrapped_) << "Bootstrap must be called exactly once";
   bootstrapped_ = true;
-  auto node = std::make_unique<BatonNode>();
-  node->id = net_->Register();
-  node->SetPosition(Position::Root());
+  BatonNode* node = AddNode();
+  SetPosition(node, Position::Root());
   node->range = Range{config_.domain_lo, config_.domain_hi};
   node->in_overlay = true;
-  PeerId id = node->id;
-  nodes_.push_back(std::move(node));
-  IndexPosition(N(id));
-  return id;
+  IndexPosition(node);
+  return node->id;
+}
+
+BatonNode* BatonNetwork::AddNode() {
+  PeerId id = net_->Register();
+  BATON_CHECK_EQ(id, nodes_.size()) << "peer ids index nodes_";
+  BatonNode& node = nodes_.emplace_back();
+  node.id = id;
+  return &node;
+}
+
+void BatonNetwork::SetPosition(BatonNode* n, const Position& p) {
+  if (n->row != RoutingRows::kNoRow && n->pos.level != p.level) {
+    ReleaseRow(n);
+  }
+  n->pos = p;
+  while (rows_.size() <= p.level) {
+    rows_.emplace_back(static_cast<uint32_t>(rows_.size()));
+  }
+  RoutingRows& rows = rows_[p.level];
+  if (n->row == RoutingRows::kNoRow) {
+    n->row = rows.Acquire(n->id);
+  } else {
+    rows.Clear(n->row);
+  }
+  n->left_slots = static_cast<uint8_t>(RoutingTable::NumSlots(p, true));
+  n->right_slots = static_cast<uint8_t>(RoutingTable::NumSlots(p, false));
+}
+
+void BatonNetwork::ReleaseRow(BatonNode* n) {
+  rows_[n->pos.level].Release(n->row);
+  n->row = RoutingRows::kNoRow;
+  n->left_slots = 0;
+  n->right_slots = 0;
+}
+
+void BatonNetwork::TakeOverPosition(BatonNode* z, BatonNode* x) {
+  BATON_CHECK_EQ(z->row, RoutingRows::kNoRow) << "z must have left first";
+  rows_[x->pos.level].Transfer(x->row, z->id);
+  z->pos = x->pos;
+  z->row = x->row;
+  z->left_slots = x->left_slots;
+  z->right_slots = x->right_slots;
+  x->row = RoutingRows::kNoRow;
+  x->left_slots = 0;
+  x->right_slots = 0;
 }
 
 void BatonNetwork::IndexPosition(BatonNode* n) {
@@ -159,16 +186,11 @@ void BatonNetwork::ApplyRefUpdate(PeerId holder_id, RefKind kind, int slot,
     case RefKind::kLeftRt:
     case RefKind::kRightRt: {
       bool left = kind == RefKind::kLeftRt;
-      RoutingTable& rt = left ? holder->left_rt : holder->right_rt;
-      if (slot < 0 || slot >= rt.size()) return;  // holder moved levels
+      if (slot < 0 || slot >= holder->TableSize(left)) return;  // moved levels
       if (RoutingTable::SlotPosition(holder->pos, left, slot) != payload.pos) {
         return;  // holder's number changed; entry no longer matches
       }
-      if (!payload.valid()) {
-        rt.entry(slot).Clear();
-      } else {
-        rt.entry(slot) = payload;
-      }
+      SetTableEntry(holder_id, left, slot, payload);  // a clear nulls it
       return;
     }
   }
@@ -212,13 +234,12 @@ void BatonNetwork::RefreshInboundRefs(BatonNode* x,
   // x is the right adjacent of its left adjacent, and vice versa.
   if (x->left_adj.valid()) send(x->left_adj.peer, RefKind::kRightAdj, 0);
   if (x->right_adj.valid()) send(x->right_adj.peer, RefKind::kLeftAdj, 0);
-  for (int side = 0; side < 2; ++side) {
-    bool left = side == 0;
-    RoutingTable& rt = left ? x->left_rt : x->right_rt;
-    for (int i = 0; i < rt.size(); ++i) {
-      if (!rt.entry(i).valid()) continue;
+  for (bool left : {true, false}) {
+    const RouteHot* rt = HotEntries(x, left);
+    for (int i = 0; i < x->TableSize(left); ++i) {
+      if (rt[i].peer == kNullPeer) continue;
       // A node to x's left holds x in its right table at the same slot.
-      send(rt.entry(i).peer, left ? RefKind::kRightRt : RefKind::kLeftRt, i);
+      send(rt[i].peer, left ? RefKind::kRightRt : RefKind::kLeftRt, i);
     }
   }
 }
@@ -267,11 +288,11 @@ void BatonNetwork::RepairAllLinks() {
 }
 
 void BatonNetwork::RebuildRoutingTables(BatonNode* x, bool charge) {
-  for (int side = 0; side < 2; ++side) {
-    bool left = side == 0;
-    RoutingTable& rt = left ? x->left_rt : x->right_rt;
-    rt.Reset(x->pos, left);
-    for (int i = 0; i < rt.size(); ++i) {
+  // The reverse entries below go to other nodes, never into x's own row, so
+  // clearing both sides first equals clearing each side before filling it.
+  rows_[x->pos.level].Clear(x->row);
+  for (bool left : {true, false}) {
+    for (int i = 0; i < x->TableSize(left); ++i) {
       Position slot = RoutingTable::SlotPosition(x->pos, left, i);
       PeerId occ = OccupantOf(slot);
       if (occ == kNullPeer) continue;
@@ -281,7 +302,7 @@ void BatonNetwork::RebuildRoutingTables(BatonNode* x, bool charge) {
       // lookup stands in for the handover/probe that delivered nb's address;
       // Theorem 2 puts that information one already-charged hop away.)
       if (charge) Count(x->id, nb->id, net::MsgType::kTableUpdate);
-      rt.entry(i) = nb->SelfRef();
+      SetTableEntry(x->id, left, i, nb->SelfRef());
       SendRefUpdate(occ, left ? RefKind::kRightRt : RefKind::kLeftRt, i,
                     x->SelfRef());
     }

@@ -141,6 +141,8 @@ class BatonNetwork {
   /// Number of nodes currently in the overlay.
   size_t size() const { return pos_index_.size(); }
   PeerId root() const { return OccupantOf(Position::Root()); }
+  /// p's state. Nodes live by value in one vector, so the reference is
+  /// valid only until the next Join or Bootstrap.
   const BatonNode& node(PeerId p) const;
   bool InOverlay(PeerId p) const;
   /// All overlay members in in-order (key-space) order: an O(N) in-order
@@ -152,6 +154,30 @@ class BatonNetwork {
     const PeerId* p = pos_index_.Find(pos.Packed());
     return p == nullptr ? kNullPeer : *p;
   }
+  /// Routing entry i of p's left (or right) table, by value. An invalid ref
+  /// is a null entry; a valid one carries the slot's position
+  /// (RoutingTable::SlotPosition of p's) and the cached range and child bits.
+  NodeRef TableEntry(PeerId p, bool left, int i) const {
+    const BatonNode* n = N(p);
+    BATON_CHECK_LT(i, n->TableSize(left));
+    NodeRef ref = rows_[n->pos.level].Get(n->row, left, i);
+    if (ref.valid()) ref.pos = RoutingTable::SlotPosition(n->pos, left, i);
+    return ref;
+  }
+  /// Overwrites routing entry i of p's left (or right) table; an invalid ref
+  /// nulls it. Every table write goes through here (protocol code included);
+  /// tests use it to inject a fault.
+  void SetTableEntry(PeerId p, bool left, int i, const NodeRef& ref) {
+    BatonNode* n = N(p);
+    BATON_CHECK_LT(i, n->TableSize(left));
+    uint32_t peer_row =
+        InOverlay(ref.peer) ? nodes_[ref.peer].row : RoutingRows::kNoRow;
+    rows_[n->pos.level].Set(n->row, left, i, ref, peer_row);
+  }
+  /// "A routing table is considered full if all valid links are not null";
+  /// Theorem 1 lets a node accept a child only when both of its are.
+  bool TablesFull(PeerId p) const { return TablesFull(N(p)); }
+
   /// Height of the tree (root = level 0); -1 when empty. O(1): maintained
   /// incrementally from the per-level occupancy counts (it sits inside the
   /// routing hop budget, so it runs on every search).
@@ -215,11 +241,20 @@ class BatonNetwork {
   const BatonConfig& config() const { return config_; }
 
  private:
-  friend class InvariantChecker;
-
-  BatonNode* N(PeerId p);
-  const BatonNode* N(PeerId p) const;
-  BatonNode* NodeOrNull(const NodeRef& ref);
+  BatonNode* N(PeerId p) {
+    BATON_CHECK_LT(p, nodes_.size());
+    return &nodes_[p];
+  }
+  const BatonNode* N(PeerId p) const {
+    BATON_CHECK_LT(p, nodes_.size());
+    return &nodes_[p];
+  }
+  BatonNode* NodeOrNull(const NodeRef& ref) {
+    return ref.valid() ? N(ref.peer) : nullptr;
+  }
+  /// Registers a peer and appends its node (outside the overlay). The only
+  /// append to nodes_, so it may move every node.
+  BatonNode* AddNode();
 
   void Count(PeerId from, PeerId to, net::MsgType type) {
     net_->Count(from, to, type);
@@ -235,6 +270,35 @@ class BatonNetwork {
   // ---- directory maintenance (simulator state) ----
   void IndexPosition(BatonNode* n);
   void UnindexPosition(BatonNode* n);
+
+  // ---- routing rows (the per-level slabs in rows_) ----
+  /// Moves n to `p` with both routing tables null. n keeps its row when it
+  /// stays on its level; otherwise its row goes back to the old level's
+  /// slab and it takes one at p's level.
+  void SetPosition(BatonNode* n, const Position& p);
+  /// n leaves the overlay: its row goes back to its level's slab.
+  void ReleaseRow(BatonNode* n);
+  /// z takes over x's position together with x's row, entries intact (the
+  /// replacement's bulk handover); x is left without a row.
+  void TakeOverPosition(BatonNode* z, BatonNode* x);
+  /// The hot parts of one of n's tables, slot 0 first (n->TableSize(left)
+  /// of them).
+  const RouteHot* HotEntries(const BatonNode* n, bool left) const {
+    return rows_[n->pos.level].hot(n->row, left);
+  }
+  /// Starts fetching what the next hop reads when `at` forwards through its
+  /// table entry `e` toward `left` (search.cc): the peer's first node line
+  /// and, through the entry's row hint, that side of the peer's row. Without
+  /// it the hop waits on the node line before it can locate the row.
+  void PrefetchHop(const BatonNode* at, const RouteHot& e, bool left) const {
+    __builtin_prefetch(&nodes_[e.peer]);
+    rows_[at->pos.level].Prefetch(e.row, left);
+  }
+  bool TablesFull(const BatonNode* n) const {
+    const RoutingRows& rows = rows_[n->pos.level];
+    return rows.IsFull(n->row, true, n->left_slots) &&
+           rows.IsFull(n->row, false, n->right_slots);
+  }
 
   // ---- link bookkeeping ----
   /// Kinds of cached refs a peer holds; identifies the slot a remote update
@@ -409,7 +473,13 @@ class BatonNetwork {
   net::Network* net_;
   Rng rng_;
 
-  std::vector<std::unique_ptr<BatonNode>> nodes_;
+  /// Every peer that ever joined, by value, indexed by PeerId (ids are never
+  /// reused). Only AddNode appends (for Bootstrap and Join), so a
+  /// BatonNode* is valid until the next join.
+  std::vector<BatonNode> nodes_;
+  /// Routing rows per tree level: rows_[l] holds one row per member at
+  /// level l (BatonNode::row), grown on demand.
+  std::vector<RoutingRows> rows_;
   /// Position::Packed -> id. Open-addressing flat map: probed on every
   /// routing hop and restructure step, so it must not chase node pointers.
   util::FlatMap64<PeerId> pos_index_;
@@ -426,6 +496,14 @@ class BatonNetwork {
 
   bool defer_updates_ = false;
   std::vector<RefUpdate> deferred_;
+
+  /// Join scratch, cleared before each use so a join walk step does not
+  /// allocate: FindJoinNode's next-hop candidates, open slots and lateral
+  /// jumps, and BuildChildTables' set of contacted parents.
+  std::vector<PeerId> join_candidates_;
+  std::vector<PeerId> join_open_slots_;
+  std::vector<PeerId> join_lateral_;
+  util::FlatSet64 join_contacted_;
 
   uint64_t total_keys_ = 0;
   Histogram shift_sizes_;

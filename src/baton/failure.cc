@@ -31,8 +31,10 @@ void BatonNetwork::RegenerateFailedState(BatonNode* x, BatonNode* initiator) {
     Count(initiator->id, e.peer, net::MsgType::kRecoveryProbe);
     Count(e.peer, initiator->id, net::MsgType::kRecoveryReply);
   };
-  for (const RoutingTable* rt : {&x->left_rt, &x->right_rt}) {
-    for (int i = 0; i < rt->size(); ++i) probe(rt->entry(i));
+  for (bool left : {true, false}) {
+    for (int i = 0; i < x->TableSize(left); ++i) {
+      probe(TableEntry(x->id, left, i));
+    }
   }
   probe(x->left_child);
   probe(x->right_child);

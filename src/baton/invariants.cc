@@ -9,7 +9,9 @@
 //  * ranges are contiguous, ordered, cover the bootstrap domain, and every
 //    stored key lies in its node's range,
 //  * every cached link (parent/child/adjacent/routing entries) carries the
-//    target's true position, range and child bits.
+//    target's true position, range and child bits,
+//  * every member owns one routing row of its own level, and no peer outside
+//    the overlay holds one.
 #include <algorithm>
 #include <cmath>
 #include <functional>
@@ -78,14 +80,17 @@ void BatonNetwork::CheckInvariants() const {
     }
 
     // Routing tables mirror the same-level occupancy exactly.
+    BATON_CHECK(n.pos.level < rows_.size() &&
+                rows_[n.pos.level].owner(n.row) == id)
+        << "routing row of " << n.pos << " is not a row of level "
+        << n.pos.level << " owned by peer " << id;
     for (bool left : {true, false}) {
-      const RoutingTable& rt = left ? n.left_rt : n.right_rt;
-      BATON_CHECK_EQ(rt.size(), RoutingTable::NumSlots(n.pos, left))
+      BATON_CHECK_EQ(n.TableSize(left), RoutingTable::NumSlots(n.pos, left))
           << "table dimension at " << n.pos;
-      for (int i = 0; i < rt.size(); ++i) {
+      for (int i = 0; i < n.TableSize(left); ++i) {
         Position slot = RoutingTable::SlotPosition(n.pos, left, i);
         PeerId occ = OccupantOf(slot);
-        const NodeRef& e = rt.entry(i);
+        NodeRef e = TableEntry(id, left, i);
         if (occ == kNullPeer) {
           BATON_CHECK(!e.valid())
               << "stale table entry at " << n.pos << " slot " << slot;
@@ -108,7 +113,7 @@ void BatonNetwork::CheckInvariants() const {
 
     // Theorem 1 invariant.
     if (n.left_child.valid() || n.right_child.valid()) {
-      BATON_CHECK(n.TablesFull())
+      BATON_CHECK(TablesFull(&n))
           << "node " << n.pos << " has a child but non-full tables";
     }
 
@@ -131,6 +136,17 @@ void BatonNetwork::CheckInvariants() const {
     }
   }
   BATON_CHECK_EQ(keys, total_keys_) << "key accounting drifted";
+
+  // The routing arena: members hold one row each (checked above), and no
+  // other peer holds one, so the rows in use are exactly the members'.
+  size_t rows_in_use = 0;
+  for (const RoutingRows& rows : rows_) rows_in_use += rows.in_use();
+  BATON_CHECK_EQ(rows_in_use, size()) << "routing rows in use vs members";
+  for (const BatonNode& n : nodes_) {
+    if (n.in_overlay) continue;
+    BATON_CHECK_EQ(n.row, RoutingRows::kNoRow)
+        << "peer " << n.id << " outside the overlay holds a routing row";
+  }
 
   // Adjacency = in-order traversal; ranges ordered and contiguous.
   const BatonNode& first = *N(members.front());

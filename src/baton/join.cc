@@ -16,17 +16,10 @@ Result<PeerId> BatonNetwork::Join(PeerId contact) {
   if (acceptor_id == kNullPeer) {
     return Status::Exhausted("join routing starved (stale state under churn)");
   }
+  PeerId yid = AddNode()->id;
+  // The append may have moved every node: look both up only now.
   BatonNode* x = N(acceptor_id);
-
-  auto fresh = std::make_unique<BatonNode>();
-  fresh->id = net_->Register();
-  PeerId yid = fresh->id;
-  nodes_.push_back(std::move(fresh));
   BatonNode* y = N(yid);
-  // Pointers into nodes_ may have been invalidated by push_back only if the
-  // vector reallocated element storage; elements are unique_ptrs, so the
-  // BatonNode objects themselves are stable, but re-derive x defensively.
-  x = N(acceptor_id);
 
   bool as_left = !x->left_child.valid();
   AcceptChild(x, y, as_left);
@@ -47,25 +40,28 @@ PeerId BatonNetwork::FindJoinNode(PeerId contact, int* hops) {
     // (Theorem 1 guarantees the addition keeps the tree balanced). A node
     // whose range cannot be split any further (pathological duplicate
     // concentration) must pass the request on instead.
-    if (n->TablesFull() && !n->HasBothChildren() && n->range.Width() >= 2) {
+    bool tables_full = TablesFull(n);
+    if (tables_full && !n->HasBothChildren() && n->range.Width() >= 2) {
       return n->id;
     }
 
     // Candidate next hops, best first; stale links may point at departed
     // peers (churn), so each dead candidate costs a timed-out probe and the
     // next one is tried.
-    std::vector<PeerId> candidates;
-    if (!n->TablesFull() && n->parent.valid()) {
+    std::vector<PeerId>& candidates = join_candidates_;
+    candidates.clear();
+    if (!tables_full && n->parent.valid()) {
       // Incomplete sideways knowledge: the parent can find the parent of a
       // missing neighbour in its own table.
       candidates.push_back(n->parent.peer);
     } else {
       // Tables full and both children present: look for a same-level node
       // that lacks a child.
-      std::vector<PeerId> open_slots;
-      for (const RoutingTable* rt : {&n->left_rt, &n->right_rt}) {
-        for (int i = 0; i < rt->size(); ++i) {
-          const NodeRef& e = rt->entry(i);
+      std::vector<PeerId>& open_slots = join_open_slots_;
+      open_slots.clear();
+      for (bool left : {true, false}) {
+        for (int i = 0; i < n->TableSize(left); ++i) {
+          NodeRef e = TableEntry(n->id, left, i);
           if (e.valid() && !(e.has_left && e.has_right)) {
             open_slots.push_back(e.peer);
           }
@@ -73,17 +69,19 @@ PeerId BatonNetwork::FindJoinNode(PeerId contact, int* hops) {
       }
       if (!open_slots.empty()) {
         rng_.Shuffle(&open_slots);
-        candidates = std::move(open_slots);
+        candidates.swap(open_slots);
       } else if (rng_.NextBool(0.5)) {
         // The whole visible neighbourhood is full: half the time, jump
         // laterally through a random far table entry so the walk diffuses
         // across the level toward the sparse region instead of cycling
         // inside one full subtree; the other half descends via an adjacent
         // link (below) to probe deeper levels.
-        std::vector<PeerId> lateral;
-        for (const RoutingTable* rt : {&n->left_rt, &n->right_rt}) {
-          for (int i = 0; i < rt->size(); ++i) {
-            if (rt->entry(i).valid()) lateral.push_back(rt->entry(i).peer);
+        std::vector<PeerId>& lateral = join_lateral_;
+        lateral.clear();
+        for (bool left : {true, false}) {
+          const RouteHot* rt = HotEntries(n, left);
+          for (int i = 0; i < n->TableSize(left); ++i) {
+            if (rt[i].peer != kNullPeer) lateral.push_back(rt[i].peer);
           }
         }
         if (!lateral.empty()) candidates.push_back(rng_.Pick(lateral));
@@ -182,7 +180,7 @@ void BatonNetwork::UnspliceFromAdjacency(BatonNode* x) {
 void BatonNetwork::AcceptChild(BatonNode* x, BatonNode* y, bool as_left) {
   BATON_CHECK(!(as_left ? x->left_child.valid() : x->right_child.valid()));
   Position child_pos = as_left ? x->pos.LeftChild() : x->pos.RightChild();
-  y->SetPosition(child_pos);
+  SetPosition(y, child_pos);
   y->in_overlay = true;
   IndexPosition(y);
 
@@ -244,11 +242,10 @@ void BatonNetwork::BuildChildTables(BatonNode* x, BatonNode* y) {
   // parent in x's routing table (or it is x itself). x contacts each such
   // parent once; the parent forwards to its relevant child; the child
   // replies to y, installing the symmetric entries.
-  util::FlatSet64 contacted;
-  for (int side = 0; side < 2; ++side) {
-    bool left = side == 0;
-    RoutingTable& rt = left ? y->left_rt : y->right_rt;
-    for (int i = 0; i < rt.size(); ++i) {
+  util::FlatSet64& contacted = join_contacted_;
+  contacted.Clear();
+  for (bool left : {true, false}) {
+    for (int i = 0; i < y->TableSize(left); ++i) {
       Position q = RoutingTable::SlotPosition(y->pos, left, i);
       Position pq = q.Parent();
       BatonNode* q_parent = nullptr;
@@ -259,20 +256,20 @@ void BatonNetwork::BuildChildTables(BatonNode* x, BatonNode* y) {
                                                : x->pos.number - pq.number;
         int slot = RoutingTable::SlotForDistance(d);
         BATON_CHECK_GE(slot, 0) << "Theorem 2 violated for slot " << q;
-        const RoutingTable& xrt =
-            pq.number < x->pos.number ? x->left_rt : x->right_rt;
-        if (slot >= xrt.size() || !xrt.entry(slot).valid()) {
+        bool x_left = pq.number < x->pos.number;
+        PeerId qp = slot < x->TableSize(x_left)
+                        ? HotEntries(x, x_left)[slot].peer
+                        : kNullPeer;
+        if (qp == kNullPeer) {
           continue;  // q's parent absent => q unoccupied (Theorem 2)
         }
-        q_parent = N(xrt.entry(slot).peer);
+        q_parent = N(qp);
         if (contacted.Insert(q_parent->id)) {
           Count(x->id, q_parent->id, net::MsgType::kTableBuild);
           // Piggyback x's new range/child bits on this contact.
-          int back_slot = slot;
           SendRefUpdate(q_parent->id,
-                        pq.number < x->pos.number ? RefKind::kRightRt
-                                                  : RefKind::kLeftRt,
-                        back_slot, x->SelfRef());
+                        x_left ? RefKind::kRightRt : RefKind::kLeftRt, slot,
+                        x->SelfRef());
         }
       }
       const NodeRef& child_ref = q == pq.LeftChild() ? q_parent->left_child
@@ -281,7 +278,7 @@ void BatonNetwork::BuildChildTables(BatonNode* x, BatonNode* y) {
       BatonNode* c = N(child_ref.peer);
       Count(q_parent->id, c->id, net::MsgType::kTableBuildChild);
       Count(c->id, y->id, net::MsgType::kTableBuildReply);
-      rt.entry(i) = c->SelfRef();
+      SetTableEntry(y->id, left, i, c->SelfRef());
       // c installs its reverse entry toward y from the same exchange.
       SendRefUpdate(c->id, left ? RefKind::kRightRt : RefKind::kLeftRt, i,
                     y->SelfRef());

@@ -14,10 +14,9 @@ bool BatonNetwork::SafeToRemove(const BatonNode* x) const {
   // non-full routing table. x must be a leaf, and no sideways neighbour may
   // have children (their tables would lose the entry pointing at x).
   if (!x->IsLeaf()) return false;
-  for (const RoutingTable* rt : {&x->left_rt, &x->right_rt}) {
-    for (int i = 0; i < rt->size(); ++i) {
-      const NodeRef& e = rt->entry(i);
-      if (e.valid() && e.HasChild()) return false;
+  for (bool left : {true, false}) {
+    for (int i = 0; i < x->TableSize(left); ++i) {
+      if (TableEntry(x->id, left, i).HasChild()) return false;
     }
   }
   return true;
@@ -70,6 +69,7 @@ void BatonNetwork::RemoveLastNode(BatonNode* x) {
   x->data = KeyBag{};
   ReplicaDropPrimary(x);
   UnindexPosition(x);
+  ReleaseRow(x);
   x->in_overlay = false;
   net_->MarkDead(x->id);
   ReplicaPeerGone(x->id, /*graceful=*/false);
@@ -157,6 +157,7 @@ void BatonNetwork::UnlinkLeaf(BatonNode* x, BatonNode* p) {
   RefreshInboundRefs(p, net::MsgType::kChildStatusNotify);
 
   UnindexPosition(x);
+  ReleaseRow(x);
   x->in_overlay = false;
   x->left_adj.Clear();
   x->right_adj.Clear();
@@ -205,10 +206,10 @@ PeerId BatonNetwork::RunFindReplacement(BatonNode* start, int* hops) {
     if (deeper == nullptr) {
       // n is a (reachable) leaf; a sideways neighbour with children sends us
       // deeper.
-      for (const RoutingTable* rt : {&n->left_rt, &n->right_rt}) {
-        for (int i = 0; i < rt->size() && deeper == nullptr; ++i) {
-          const NodeRef& e = rt->entry(i);
-          if (!e.valid() || !e.HasChild() || !Probe(n->id, e.peer)) continue;
+      for (bool left : {true, false}) {
+        for (int i = 0; i < n->TableSize(left) && deeper == nullptr; ++i) {
+          NodeRef e = TableEntry(n->id, left, i);
+          if (!e.HasChild() || !Probe(n->id, e.peer)) continue;
           BatonNode* nb = N(e.peer);
           Count(n->id, nb->id, net::MsgType::kReplacementForward);
           ++*hops;
@@ -271,7 +272,7 @@ void BatonNetwork::ReplaceNode(BatonNode* x, BatonNode* z, bool content_lost) {
     Count(x->id, z->id, net::MsgType::kContentTransfer);
   }
   UnindexPosition(x);
-  z->SetPosition(x->pos);
+  TakeOverPosition(z, x);  // x's routing row, entries intact
   z->in_overlay = true;
   z->range = x->range;
   z->data = KeyBag{};
@@ -281,8 +282,6 @@ void BatonNetwork::ReplaceNode(BatonNode* x, BatonNode* z, bool content_lost) {
   z->right_child = x->right_child;
   z->left_adj = x->left_adj;
   z->right_adj = x->right_adj;
-  z->left_rt = x->left_rt;
-  z->right_rt = x->right_rt;
   IndexPosition(z);
 
   // 3. "all nodes with links to x must be informed to change the physical

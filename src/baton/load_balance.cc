@@ -121,13 +121,14 @@ bool BatonNetwork::TryRemoteRecruit(BatonNode* v) {
   // 1. Probe sideways neighbours for a lightly loaded leaf ("our practical
   //    experience suggests that the neighbor tables suffice").
   BatonNode* recruit = nullptr;
-  for (const RoutingTable* rt : {&v->left_rt, &v->right_rt}) {
-    for (int i = 0; i < rt->size(); ++i) {
-      const NodeRef& e = rt->entry(i);
-      if (!e.valid() || !net_->IsAlive(e.peer)) continue;
-      Count(v->id, e.peer, net::MsgType::kLoadProbe);
-      Count(e.peer, v->id, net::MsgType::kLoadProbeReply);
-      BatonNode* f = N(e.peer);
+  for (bool left : {true, false}) {
+    const RouteHot* rt = HotEntries(v, left);
+    for (int i = 0; i < v->TableSize(left); ++i) {
+      PeerId peer = rt[i].peer;
+      if (peer == kNullPeer || !net_->IsAlive(peer)) continue;
+      Count(v->id, peer, net::MsgType::kLoadProbe);
+      Count(peer, v->id, net::MsgType::kLoadProbeReply);
+      BatonNode* f = N(peer);
       if (!f->IsLeaf()) continue;
       if (f->data.size() >= light_cap) continue;
       if (recruit == nullptr || f->data.size() < recruit->data.size()) {

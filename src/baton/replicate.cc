@@ -29,10 +29,10 @@ std::vector<PeerId> BatonNetwork::ReplicaCandidates(const BatonNode* x) const {
   add(x->left_child);
   add(x->right_child);
   // Nearest sideways neighbours first: slot i links at distance 2^i.
-  int slots = std::max(x->left_rt.size(), x->right_rt.size());
+  int slots = std::max(x->TableSize(true), x->TableSize(false));
   for (int i = 0; i < slots; ++i) {
-    if (i < x->left_rt.size()) add(x->left_rt.entry(i));
-    if (i < x->right_rt.size()) add(x->right_rt.entry(i));
+    if (i < x->TableSize(true)) add(TableEntry(x->id, true, i));
+    if (i < x->TableSize(false)) add(TableEntry(x->id, false, i));
   }
   return out;
 }

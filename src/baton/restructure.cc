@@ -60,8 +60,8 @@ bool BatonNetwork::TryBuildJoinChain(BatonNode* y, bool rightward,
     //     in-order between the old position and its successor, and the old
     //     position's tables being full makes the addition balance-safe.
     if (mover_has_old) {
-      if (rightward ? (!mover->right_child.valid() && mover->TablesFull())
-                    : (!mover->left_child.valid() && mover->TablesFull())) {
+      if (rightward ? (!mover->right_child.valid() && TablesFull(mover))
+                    : (!mover->left_child.valid() && TablesFull(mover))) {
         moves->push_back(Move{mover, rightward ? mover_old.RightChild()
                                                : mover_old.LeftChild()});
         return true;
@@ -71,8 +71,8 @@ bool BatonNetwork::TryBuildJoinChain(BatonNode* y, bool rightward,
     // (b) The next occupant can absorb the mover as its near-side child
     //     ("z then checks its right adjacent node t to see if its left child
     //      is empty ... and adding a child to t does not affect the balance").
-    if (rightward ? (!t->left_child.valid() && t->TablesFull())
-                  : (!t->right_child.valid() && t->TablesFull())) {
+    if (rightward ? (!t->left_child.valid() && TablesFull(t))
+                  : (!t->right_child.valid() && TablesFull(t))) {
       moves->push_back(Move{mover, rightward ? t->pos.LeftChild()
                                              : t->pos.RightChild()});
       return true;
@@ -146,7 +146,7 @@ void BatonNetwork::RelocateNodes(const std::vector<Move>& moves) {
         OccupantOf(m.to) == kNullPeer) {
       created_positions.push_back(m.to);
     }
-    m.node->SetPosition(m.to);
+    SetPosition(m.node, m.to);
     IndexPosition(m.node);
     old_positions.Erase(m.to.Packed());
   }

@@ -9,21 +9,29 @@
 namespace baton {
 
 PeerId BatonNetwork::NextHop(const BatonNode* at, Key key) const {
+  // Reads only the hot parts of the tables: a right-table entry's bound is
+  // its range.lo, a left-table entry's its range.hi.
   if (at->range.Contains(key)) return kNullPeer;
   if (key >= at->range.hi) {
     // Rightward: the farthest right-table node whose lower bound is <= key.
-    for (int i = at->right_rt.size() - 1; i >= 0; --i) {
-      const NodeRef& e = at->right_rt.entry(i);
-      if (e.valid() && e.range.lo <= key) return e.peer;
+    const RouteHot* rt = HotEntries(at, /*left=*/false);
+    for (int i = at->right_slots - 1; i >= 0; --i) {
+      if (rt[i].peer != kNullPeer && rt[i].bound <= key) {
+        PrefetchHop(at, rt[i], /*left=*/false);
+        return rt[i].peer;
+      }
     }
     if (at->right_child.valid()) return at->right_child.peer;
     if (at->right_adj.valid()) return at->right_adj.peer;
     return kNullPeer;  // rightmost node: key beyond the domain
   }
   // Leftward mirror: the farthest left-table node whose upper bound is > key.
-  for (int i = at->left_rt.size() - 1; i >= 0; --i) {
-    const NodeRef& e = at->left_rt.entry(i);
-    if (e.valid() && e.range.hi > key) return e.peer;
+  const RouteHot* lt = HotEntries(at, /*left=*/true);
+  for (int i = at->left_slots - 1; i >= 0; --i) {
+    if (lt[i].peer != kNullPeer && lt[i].bound > key) {
+      PrefetchHop(at, lt[i], /*left=*/true);
+      return lt[i].peer;
+    }
   }
   if (at->left_child.valid()) return at->left_child.peer;
   if (at->left_adj.valid()) return at->left_adj.peer;
@@ -40,26 +48,32 @@ std::vector<PeerId> BatonNetwork::AlternativeHops(const BatonNode* at,
   // route back down, so it is only a final resort.
   std::vector<PeerId> out;
   if (key >= at->range.hi) {
-    for (int i = at->right_rt.size() - 1; i >= 0; --i) {
-      const NodeRef& e = at->right_rt.entry(i);
-      if (e.valid() && e.range.lo <= key) out.push_back(e.peer);
+    const RouteHot* rt = HotEntries(at, /*left=*/false);
+    for (int i = at->right_slots - 1; i >= 0; --i) {
+      if (rt[i].peer != kNullPeer && rt[i].bound <= key) {
+        out.push_back(rt[i].peer);
+      }
     }
     if (at->right_child.valid()) out.push_back(at->right_child.peer);
     if (at->right_adj.valid()) out.push_back(at->right_adj.peer);
-    for (int i = 0; i < at->right_rt.size(); ++i) {
-      const NodeRef& e = at->right_rt.entry(i);
-      if (e.valid() && e.range.lo > key) out.push_back(e.peer);
+    for (int i = 0; i < at->right_slots; ++i) {
+      if (rt[i].peer != kNullPeer && rt[i].bound > key) {
+        out.push_back(rt[i].peer);
+      }
     }
   } else {
-    for (int i = at->left_rt.size() - 1; i >= 0; --i) {
-      const NodeRef& e = at->left_rt.entry(i);
-      if (e.valid() && e.range.hi > key) out.push_back(e.peer);
+    const RouteHot* lt = HotEntries(at, /*left=*/true);
+    for (int i = at->left_slots - 1; i >= 0; --i) {
+      if (lt[i].peer != kNullPeer && lt[i].bound > key) {
+        out.push_back(lt[i].peer);
+      }
     }
     if (at->left_child.valid()) out.push_back(at->left_child.peer);
     if (at->left_adj.valid()) out.push_back(at->left_adj.peer);
-    for (int i = 0; i < at->left_rt.size(); ++i) {
-      const NodeRef& e = at->left_rt.entry(i);
-      if (e.valid() && e.range.hi <= key) out.push_back(e.peer);
+    for (int i = 0; i < at->left_slots; ++i) {
+      if (lt[i].peer != kNullPeer && lt[i].bound <= key) {
+        out.push_back(lt[i].peer);
+      }
     }
   }
   if (at->parent.valid()) out.push_back(at->parent.peer);
@@ -152,6 +166,13 @@ Result<BatonNetwork::RangeResult> BatonNetwork::RangeSearch(PeerId from,
   int guard = 2 * static_cast<int>(size()) + 16;
   while (true) {
     BATON_CHECK_GE(--guard, 0);
+    if (cur->range.hi < bound && cur->right_adj.valid()) {
+      // The scan's next step reads the adjacent node's first three lines
+      // (range and row, right_adj, key bag): fetch them while this step
+      // counts its keys and looks for a jump.
+      const char* next = reinterpret_cast<const char*>(N(cur->right_adj.peer));
+      for (int line = 0; line < 3; ++line) __builtin_prefetch(next + 64 * line);
+    }
     if (cur->range.Intersects(lo, hi)) {
       res.nodes.push_back(cur->id);
       res.matches += cur->data.CountInRange(lo, hi);
@@ -188,13 +209,14 @@ Result<BatonNetwork::RangeResult> BatonNetwork::RangeSearch(PeerId from,
     // stale split point would make the delegated intervals overlap or leave
     // a gap (routing entries are actively refreshed, so staleness is
     // transient and the scan merely falls back to the adjacent relay).
-    const NodeRef* jump = nullptr;
-    for (int i = cur->right_rt.size() - 1; i >= 0; --i) {
-      const NodeRef& e = cur->right_rt.entry(i);
-      if (!e.valid() || e.peer == next) continue;
-      if (e.range.lo <= cur->range.hi || e.range.lo >= bound) continue;
+    const RouteHot* rt = HotEntries(cur, /*left=*/false);
+    const RouteHot* jump = nullptr;
+    for (int i = cur->right_slots - 1; i >= 0; --i) {
+      const RouteHot& e = rt[i];  // e.bound is the entry's cached range.lo
+      if (e.peer == kNullPeer || e.peer == next) continue;
+      if (e.bound <= cur->range.hi || e.bound >= bound) continue;
       if (!InOverlay(e.peer) || !net_->IsAlive(e.peer)) continue;
-      if (N(e.peer)->range.lo != e.range.lo) continue;
+      if (N(e.peer)->range.lo != e.bound) continue;
       jump = &e;
       break;
     }
@@ -202,7 +224,7 @@ Result<BatonNetwork::RangeResult> BatonNetwork::RangeSearch(PeerId from,
       Count(cur->id, jump->peer, net::MsgType::kRangeScan);
       ++res.hops;
       pending.emplace_back(N(jump->peer), bound);
-      bound = jump->range.lo;
+      bound = jump->bound;
     }
     Count(cur->id, next, net::MsgType::kRangeScan);
     ++res.hops;

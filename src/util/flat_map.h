@@ -21,6 +21,7 @@
 #ifndef BATON_UTIL_FLAT_MAP_H_
 #define BATON_UTIL_FLAT_MAP_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -109,10 +110,11 @@ class FlatMap64 {
     return true;
   }
 
+  /// Removes every entry but keeps the slot arrays, so a scratch container
+  /// refilled to a similar size does not allocate again.
   void Clear() {
-    ctrl_.clear();
-    keys_.clear();
-    values_.clear();
+    std::fill(ctrl_.begin(), ctrl_.end(), kEmpty);
+    for (Value& v : values_) v = Value{};  // drop payloads, as Erase does
     size_ = 0;
     tombstones_ = 0;
   }

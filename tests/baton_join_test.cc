@@ -70,7 +70,7 @@ TEST(Join, AcceptorHadFullTables) {
   for (PeerId m : o.members) {
     const BatonNode& n = o.overlay->node(m);
     if (n.left_child.valid() || n.right_child.valid()) {
-      EXPECT_TRUE(n.TablesFull()) << n.pos;
+      EXPECT_TRUE(o.overlay->TablesFull(m)) << n.pos;
     }
   }
 }
@@ -128,13 +128,13 @@ TEST(Join, NewNodeTablesMatchOccupancy) {
   // explicitly for readability.
   const BatonNode& y = o.overlay->node(o.members.back());
   for (bool left : {true, false}) {
-    const RoutingTable& rt = left ? y.left_rt : y.right_rt;
-    for (int i = 0; i < rt.size(); ++i) {
+    for (int i = 0; i < y.TableSize(left); ++i) {
       Position q = RoutingTable::SlotPosition(y.pos, left, i);
       PeerId occ = o.overlay->OccupantOf(q);
-      EXPECT_EQ(rt.entry(i).valid(), occ != kNullPeer) << q;
+      NodeRef e = o.overlay->TableEntry(y.id, left, i);
+      EXPECT_EQ(e.valid(), occ != kNullPeer) << q;
       if (occ != kNullPeer) {
-        EXPECT_EQ(rt.entry(i).peer, occ);
+        EXPECT_EQ(e.peer, occ);
       }
     }
   }

@@ -96,13 +96,14 @@ TEST(InvariantCheckerDeathTest, DetectsStaleChildBitInTable) {
   Overlay o(5);
   // Find a node with a populated routing table entry.
   for (PeerId m : o.members) {
-    BatonNode* n = o.Mutable(m);
-    for (RoutingTable* rt : {&n->left_rt, &n->right_rt}) {
-      for (int i = 0; i < rt->size(); ++i) {
-        if (rt->entry(i).valid()) {
+    for (bool left : {true, false}) {
+      for (int i = 0; i < o.overlay->node(m).TableSize(left); ++i) {
+        NodeRef e = o.overlay->TableEntry(m, left, i);
+        if (e.valid()) {
           EXPECT_DEATH(
               {
-                rt->entry(i).has_left = !rt->entry(i).has_left;
+                e.has_left = !e.has_left;
+                o.overlay->SetTableEntry(m, left, i, e);
                 o.overlay->CheckInvariants();
               },
               "child bit");
@@ -147,13 +148,13 @@ TEST(InvariantCheckerDeathTest, DetectsKeyAccountingDrift) {
 TEST(InvariantCheckerDeathTest, DetectsClearedTableEntry) {
   Overlay o(8);
   for (PeerId m : o.members) {
-    BatonNode* n = o.Mutable(m);
-    for (RoutingTable* rt : {&n->left_rt, &n->right_rt}) {
-      for (int i = 0; i < rt->size(); ++i) {
-        if (rt->entry(i).valid()) {
+    for (bool left : {true, false}) {
+      for (int i = 0; i < o.overlay->node(m).TableSize(left); ++i) {
+        if (o.overlay->TableEntry(m, left, i).valid()) {
           EXPECT_DEATH(
               {
-                rt->entry(i).Clear();  // a link the occupancy says must exist
+                // A link the occupancy says must exist.
+                o.overlay->SetTableEntry(m, left, i, NodeRef{});
                 o.overlay->CheckInvariants();
               },
               "missing table entry");
@@ -163,6 +164,36 @@ TEST(InvariantCheckerDeathTest, DetectsClearedTableEntry) {
     }
   }
   FAIL() << "no populated routing entry found";
+}
+
+TEST(InvariantCheckerDeathTest, DetectsRowHeldOutsideTheOverlay) {
+  Overlay o(10);
+  PeerId leaf = o.SomeLeaf();
+  ASSERT_TRUE(o.overlay->Leave(leaf).ok());
+  o.overlay->CheckInvariants();  // the departed leaf returned its row
+  EXPECT_DEATH(
+      {
+        o.Mutable(leaf)->row = o.overlay->node(o.overlay->root()).row;
+        o.overlay->CheckInvariants();
+      },
+      "outside the overlay holds a routing row");
+}
+
+TEST(InvariantCheckerDeathTest, DetectsRowOwnedByAnotherPeer) {
+  Overlay o(11);
+  PeerId a = o.SomeLeaf();
+  uint32_t level = o.overlay->node(a).pos.level;
+  PeerId b = kNullPeer;
+  for (PeerId m : o.members) {
+    if (m != a && o.overlay->node(m).pos.level == level) b = m;
+  }
+  ASSERT_NE(b, kNullPeer);
+  EXPECT_DEATH(
+      {
+        o.Mutable(a)->row = o.overlay->node(b).row;  // b's row, a's level
+        o.overlay->CheckInvariants();
+      },
+      "routing row of");
 }
 
 TEST(InvariantCheckerDeathTest, DetectsPendingDeferredUpdates) {

@@ -122,22 +122,74 @@ TEST(RoutingTable, SlotForDistance) {
 }
 
 TEST(RoutingTable, ResetDimensionsAndEmptiness) {
-  RoutingTable rt;
-  rt.Reset(Position{4, 7}, /*left=*/true);
-  EXPECT_EQ(rt.size(), RoutingTable::NumSlots(Position{4, 7}, true));
+  const Position pos{4, 7};
+  RoutingRows rows(pos.level);
+  uint32_t row = rows.Acquire(/*owner=*/0);
+  int size = RoutingTable::NumSlots(pos, /*left=*/true);
+  EXPECT_EQ(size, 3);  // 7-1, 7-2, 7-4
+  EXPECT_LE(size, static_cast<int>(pos.level));  // fits the row's left half
   // Empty slots still count as a table that is NOT full (positions exist).
-  EXPECT_FALSE(rt.IsFull());
-  for (int i = 0; i < rt.size(); ++i) {
-    rt.entry(i).peer = 1;
+  EXPECT_FALSE(rows.IsFull(row, /*left=*/true, size));
+  NodeRef filled;
+  filled.peer = 1;
+  for (int i = 0; i < size; ++i) {
+    rows.Set(row, /*left=*/true, i, filled, /*peer_row=*/0);
   }
-  EXPECT_TRUE(rt.IsFull());
+  EXPECT_TRUE(rows.IsFull(row, /*left=*/true, size));
+  // A reset (a move within the level) nulls the row again.
+  rows.Clear(row);
+  EXPECT_FALSE(rows.IsFull(row, /*left=*/true, size));
 }
 
 TEST(RoutingTable, ZeroSlotTableIsVacuouslyFull) {
-  RoutingTable rt;
-  rt.Reset(Position::Root(), true);
-  EXPECT_EQ(rt.size(), 0);
-  EXPECT_TRUE(rt.IsFull());
+  RoutingRows rows(Position::Root().level);
+  uint32_t row = rows.Acquire(/*owner=*/0);
+  EXPECT_EQ(RoutingTable::NumSlots(Position::Root(), true), 0);
+  EXPECT_TRUE(rows.IsFull(row, /*left=*/true, 0));
+}
+
+TEST(RoutingTable, EntriesKeepBothBoundsAndChildBitsPerSide) {
+  RoutingRows rows(5);
+  uint32_t row = rows.Acquire(/*owner=*/3);
+  NodeRef e;
+  e.peer = 9;
+  e.range = Range{100, 200};
+  e.has_right = true;
+  rows.Set(row, /*left=*/false, 4, e, /*peer_row=*/11);
+  // A right-table entry's hot bound is its range.lo; the hot part also
+  // keeps the peer's row as a prefetch hint.
+  EXPECT_EQ(rows.hot(row, /*left=*/false)[4].bound, 100);
+  EXPECT_EQ(rows.hot(row, /*left=*/false)[4].row, 11u);
+  NodeRef back = rows.Get(row, /*left=*/false, 4);
+  EXPECT_EQ(back.peer, 9u);
+  EXPECT_EQ(back.range, (Range{100, 200}));
+  EXPECT_FALSE(back.has_left);
+  EXPECT_TRUE(back.has_right);
+  // The left half of the row is untouched.
+  EXPECT_FALSE(rows.Get(row, /*left=*/true, 4).valid());
+  rows.Set(row, /*left=*/true, 0, e, /*peer_row=*/11);
+  EXPECT_EQ(rows.hot(row, /*left=*/true)[0].bound, 200);  // range.hi
+  EXPECT_EQ(rows.Get(row, /*left=*/true, 0).range, (Range{100, 200}));
+}
+
+TEST(RoutingTable, ReleasedRowsAreReusedNulled) {
+  RoutingRows rows(3);
+  uint32_t a = rows.Acquire(/*owner=*/1);
+  uint32_t b = rows.Acquire(/*owner=*/2);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(rows.in_use(), 2u);
+  NodeRef e;
+  e.peer = 7;
+  rows.Set(a, /*left=*/true, 2, e, /*peer_row=*/0);
+  rows.Transfer(a, /*owner=*/5);  // a handover keeps the entries
+  EXPECT_EQ(rows.owner(a), 5u);
+  EXPECT_EQ(rows.Get(a, /*left=*/true, 2).peer, 7u);
+  rows.Release(a);
+  EXPECT_EQ(rows.owner(a), kNullPeer);
+  EXPECT_EQ(rows.in_use(), 1u);
+  EXPECT_EQ(rows.Acquire(/*owner=*/6), a);  // reused before the slab grows
+  EXPECT_FALSE(rows.Get(a, /*left=*/true, 2).valid());
+  EXPECT_EQ(rows.in_use(), 2u);
 }
 
 // ---------- Range ----------

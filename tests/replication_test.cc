@@ -202,9 +202,9 @@ TEST(Replication, ChildRecoveredWhileParentStillDeadLosesNothing) {
     const BatonNode& n = o.overlay->node(m);
     if (!n.IsLeaf() || !n.parent.valid()) continue;
     bool removable = true;
-    for (const RoutingTable* rt : {&n.left_rt, &n.right_rt}) {
-      for (int i = 0; i < rt->size(); ++i) {
-        if (rt->entry(i).valid() && rt->entry(i).HasChild()) removable = false;
+    for (bool left : {true, false}) {
+      for (int i = 0; i < n.TableSize(left); ++i) {
+        if (o.overlay->TableEntry(m, left, i).HasChild()) removable = false;
       }
     }
     if (!removable) continue;

@@ -51,6 +51,10 @@ BENCHES = {
     "fig8i_dynamics": ("bench_fig8i_dynamics", [], []),
     "ablation_fanout": ("bench_ablation_fanout", [], []),
     "ablation_load_balance": ("bench_ablation_load_balance", [], []),
+    # N=1000 alone (the last --sizes wins): the size at which equally light
+    # leaves tie in the recruit directory often enough to pin its tie-break.
+    "ablation_load_balance_n1000": (
+        "bench_ablation_load_balance", ["--sizes=1000"], []),
     "durability_churn": ("bench_durability_churn", [], []),
     "compare_overlays": ("bench_compare_overlays", [], []),
     "compare_overlays_obs": (

@@ -1,14 +1,10 @@
 // Micro benchmarks (google-benchmark) for the core data structures: position
-// arithmetic, the routing-row move on a level change, key storage, the flat
-// position directory (vs std::unordered_map), the in-order member walk,
-// end-to-end exact and range search on a prebuilt overlay, and the Zipf
-// sampler.
+// arithmetic, the routing-row move on a level change, key storage, the
+// in-order member walk over the position directory, end-to-end exact and
+// range search on a prebuilt overlay, and the Zipf sampler.
 #include <benchmark/benchmark.h>
 
-#include <unordered_map>
-
 #include "baton/baton.h"
-#include "util/flat_map.h"
 #include "util/zipf.h"
 #include "workload/workload.h"
 
@@ -63,66 +59,6 @@ void BM_KeyBagCountInRange(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KeyBagCountInRange);
-
-// The directory probe sits inside every routing hop; compare the flat map
-// against the node-based std::unordered_map it replaced, on a key set shaped
-// like real position keys (Packed() of a dense balanced tree).
-std::vector<uint64_t> PositionKeys(int count) {
-  std::vector<uint64_t> keys;
-  keys.reserve(static_cast<size_t>(count));
-  Position pos = Position::Root();
-  // Breadth-first over a full tree: levels fill left to right.
-  for (int i = 0; i < count; ++i) {
-    keys.push_back(pos.Packed());
-    if (pos.number < pos.LevelWidth()) {
-      ++pos.number;
-    } else {
-      pos = Position{pos.level + 1, 1};
-    }
-  }
-  return keys;
-}
-
-void BM_FlatMapProbe(benchmark::State& state) {
-  auto keys = PositionKeys(static_cast<int>(state.range(0)));
-  util::FlatMap64<uint32_t> map;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    map.Insert(keys[i], static_cast<uint32_t>(i));
-  }
-  Rng rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(map.Find(keys[rng.NextBelow(keys.size())]));
-  }
-}
-BENCHMARK(BM_FlatMapProbe)->Arg(1024)->Arg(131072);
-
-void BM_UnorderedMapProbe(benchmark::State& state) {
-  auto keys = PositionKeys(static_cast<int>(state.range(0)));
-  std::unordered_map<uint64_t, uint32_t> map;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    map.emplace(keys[i], static_cast<uint32_t>(i));
-  }
-  Rng rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(map.find(keys[rng.NextBelow(keys.size())]));
-  }
-}
-BENCHMARK(BM_UnorderedMapProbe)->Arg(1024)->Arg(131072);
-
-void BM_FlatMapInsertErase(benchmark::State& state) {
-  util::FlatMap64<uint32_t> map;
-  auto keys = PositionKeys(4096);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    map.Insert(keys[i], static_cast<uint32_t>(i));
-  }
-  Rng rng(8);
-  for (auto _ : state) {
-    uint64_t k = keys[rng.NextBelow(keys.size())];
-    map.Erase(k);
-    benchmark::DoNotOptimize(map.Insert(k, 1));
-  }
-}
-BENCHMARK(BM_FlatMapInsertErase);
 
 void BM_MembersInOrderWalk(benchmark::State& state) {
   net::Network net;

@@ -44,10 +44,10 @@ void BatonNetwork::SetPosition(BatonNode* n, const Position& p) {
     ReleaseRow(n);
   }
   n->pos = p;
-  while (rows_.size() <= p.level) {
-    rows_.emplace_back(static_cast<uint32_t>(rows_.size()));
+  while (levels_.size() <= p.level) {
+    levels_.emplace_back(static_cast<uint32_t>(levels_.size()));
   }
-  RoutingRows& rows = rows_[p.level];
+  RoutingRows& rows = levels_[p.level].rows;
   if (n->row == RoutingRows::kNoRow) {
     n->row = rows.Acquire(n->id);
   } else {
@@ -58,7 +58,7 @@ void BatonNetwork::SetPosition(BatonNode* n, const Position& p) {
 }
 
 void BatonNetwork::ReleaseRow(BatonNode* n) {
-  rows_[n->pos.level].Release(n->row);
+  levels_[n->pos.level].rows.Release(n->row);
   n->row = RoutingRows::kNoRow;
   n->left_slots = 0;
   n->right_slots = 0;
@@ -66,7 +66,7 @@ void BatonNetwork::ReleaseRow(BatonNode* n) {
 
 void BatonNetwork::TakeOverPosition(BatonNode* z, BatonNode* x) {
   BATON_CHECK_EQ(z->row, RoutingRows::kNoRow) << "z must have left first";
-  rows_[x->pos.level].Transfer(x->row, z->id);
+  levels_[x->pos.level].rows.Transfer(x->row, z->id);
   z->pos = x->pos;
   z->row = x->row;
   z->left_slots = x->left_slots;
@@ -77,34 +77,26 @@ void BatonNetwork::TakeOverPosition(BatonNode* z, BatonNode* x) {
 }
 
 void BatonNetwork::IndexPosition(BatonNode* n) {
-  bool inserted = pos_index_.Insert(n->pos.Packed(), n->id);
-  BATON_CHECK(inserted) << "position " << n->pos << " already occupied by "
-                        << OccupantOf(n->pos);
-  size_t level = n->pos.level;
-  if (level >= level_counts_.size()) level_counts_.resize(level + 1, 0);
-  ++level_counts_[level];
-  height_ = std::max(height_, static_cast<int>(level));
-  if (config_.enable_recruit_directory) {
-    recruit_dir_.Insert(n->pos.Packed(), n->id);
-  }
+  BATON_CHECK_LT(n->pos.level, levels_.size()) << "SetPosition adds levels";
+  Level& level = levels_[n->pos.level];
+  PeerId& slot = level.occupant[n->pos.number - 1];
+  BATON_CHECK_EQ(slot, kNullPeer) << "position " << n->pos << " occupied";
+  slot = n->id;
+  ++level.occupied;
+  ++size_;
+  height_ = std::max(height_, static_cast<int>(n->pos.level));
 }
 
 void BatonNetwork::UnindexPosition(BatonNode* n) {
-  const PeerId* occ = pos_index_.Find(n->pos.Packed());
-  BATON_CHECK(occ != nullptr);
-  BATON_CHECK_EQ(*occ, n->id);
-  pos_index_.Erase(n->pos.Packed());
-  size_t level = n->pos.level;
-  BATON_CHECK_LT(level, level_counts_.size());
-  BATON_CHECK_GT(level_counts_[level], 0u);
-  --level_counts_[level];
+  BATON_CHECK_EQ(OccupantOf(n->pos), n->id);
+  Level& level = levels_[n->pos.level];
+  level.occupant[n->pos.number - 1] = kNullPeer;
+  --level.occupied;
+  --size_;
   // The height can only shrink when the bottom level empties; walk up past
   // any (transiently) empty levels. Amortised O(1) over any op sequence.
-  while (height_ >= 0 && level_counts_[static_cast<size_t>(height_)] == 0) {
+  while (height_ >= 0 && levels_[static_cast<size_t>(height_)].occupied == 0) {
     --height_;
-  }
-  if (config_.enable_recruit_directory) {
-    recruit_dir_.Erase(n->pos.Packed());
   }
 }
 
@@ -290,7 +282,7 @@ void BatonNetwork::RepairAllLinks() {
 void BatonNetwork::RebuildRoutingTables(BatonNode* x, bool charge) {
   // The reverse entries below go to other nodes, never into x's own row, so
   // clearing both sides first equals clearing each side before filling it.
-  rows_[x->pos.level].Clear(x->row);
+  levels_[x->pos.level].rows.Clear(x->row);
   for (bool left : {true, false}) {
     for (int i = 0; i < x->TableSize(left); ++i) {
       Position slot = RoutingTable::SlotPosition(x->pos, left, i);

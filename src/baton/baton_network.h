@@ -26,7 +26,6 @@
 #include "net/message.h"
 #include "net/network.h"
 #include "replication/replication.h"
-#include "util/flat_map.h"
 #include "util/histogram.h"
 #include "util/keys.h"
 #include "util/rng.h"
@@ -139,7 +138,7 @@ class BatonNetwork {
   // ------------------------------------------------------------------
 
   /// Number of nodes currently in the overlay.
-  size_t size() const { return pos_index_.size(); }
+  size_t size() const { return size_; }
   PeerId root() const { return OccupantOf(Position::Root()); }
   /// p's state. Nodes live by value in one vector, so the reference is
   /// valid only until the next Join or Bootstrap.
@@ -149,10 +148,11 @@ class BatonNetwork {
   /// walk of the position directory (no sort), so it stays correct even
   /// when cached adjacency links are stale under churn.
   std::vector<PeerId> Members() const;
-  /// Occupant of a tree position, or kNullPeer.
+  /// Occupant of a tree position, or kNullPeer (also for a level deeper
+  /// than any the overlay has reached).
   PeerId OccupantOf(const Position& pos) const {
-    const PeerId* p = pos_index_.Find(pos.Packed());
-    return p == nullptr ? kNullPeer : *p;
+    if (pos.level >= levels_.size()) return kNullPeer;
+    return levels_[pos.level].occupant[pos.number - 1];
   }
   /// Routing entry i of p's left (or right) table, by value. An invalid ref
   /// is a null entry; a valid one carries the slot's position
@@ -160,7 +160,7 @@ class BatonNetwork {
   NodeRef TableEntry(PeerId p, bool left, int i) const {
     const BatonNode* n = N(p);
     BATON_CHECK_LT(i, n->TableSize(left));
-    NodeRef ref = rows_[n->pos.level].Get(n->row, left, i);
+    NodeRef ref = levels_[n->pos.level].rows.Get(n->row, left, i);
     if (ref.valid()) ref.pos = RoutingTable::SlotPosition(n->pos, left, i);
     return ref;
   }
@@ -172,7 +172,7 @@ class BatonNetwork {
     BATON_CHECK_LT(i, n->TableSize(left));
     uint32_t peer_row =
         InOverlay(ref.peer) ? nodes_[ref.peer].row : RoutingRows::kNoRow;
-    rows_[n->pos.level].Set(n->row, left, i, ref, peer_row);
+    levels_[n->pos.level].rows.Set(n->row, left, i, ref, peer_row);
   }
   /// "A routing table is considered full if all valid links are not null";
   /// Theorem 1 lets a node accept a child only when both of its are.
@@ -271,7 +271,7 @@ class BatonNetwork {
   void IndexPosition(BatonNode* n);
   void UnindexPosition(BatonNode* n);
 
-  // ---- routing rows (the per-level slabs in rows_) ----
+  // ---- routing rows (the per-level slabs in levels_) ----
   /// Moves n to `p` with both routing tables null. n keeps its row when it
   /// stays on its level; otherwise its row goes back to the old level's
   /// slab and it takes one at p's level.
@@ -284,7 +284,7 @@ class BatonNetwork {
   /// The hot parts of one of n's tables, slot 0 first (n->TableSize(left)
   /// of them).
   const RouteHot* HotEntries(const BatonNode* n, bool left) const {
-    return rows_[n->pos.level].hot(n->row, left);
+    return levels_[n->pos.level].rows.hot(n->row, left);
   }
   /// Starts fetching what the next hop reads when `at` forwards through its
   /// table entry `e` toward `left` (search.cc): the peer's first node line
@@ -292,10 +292,10 @@ class BatonNetwork {
   /// it the hop waits on the node line before it can locate the row.
   void PrefetchHop(const BatonNode* at, const RouteHot& e, bool left) const {
     __builtin_prefetch(&nodes_[e.peer]);
-    rows_[at->pos.level].Prefetch(e.row, left);
+    levels_[at->pos.level].rows.Prefetch(e.row, left);
   }
   bool TablesFull(const BatonNode* n) const {
-    const RoutingRows& rows = rows_[n->pos.level];
+    const RoutingRows& rows = levels_[n->pos.level].rows;
     return rows.IsFull(n->row, true, n->left_slots) &&
            rows.IsFull(n->row, false, n->right_slots);
   }
@@ -477,21 +477,23 @@ class BatonNetwork {
   /// reused). Only AddNode appends (for Bootstrap and Join), so a
   /// BatonNode* is valid until the next join.
   std::vector<BatonNode> nodes_;
-  /// Routing rows per tree level: rows_[l] holds one row per member at
-  /// level l (BatonNode::row), grown on demand.
-  std::vector<RoutingRows> rows_;
-  /// Position::Packed -> id. Open-addressing flat map: probed on every
-  /// routing hop and restructure step, so it must not chase node pointers.
-  util::FlatMap64<PeerId> pos_index_;
-  /// Occupied positions per level; level_counts_[l] drives the O(1)
-  /// height_ maintenance in IndexPosition/UnindexPosition.
-  std::vector<uint32_t> level_counts_;
+  /// One tree level: its members' routing rows and its part of the
+  /// position directory. Level l has 2^l positions; the peer at (l, n) is
+  /// occupant[n - 1], kNullPeer while the position is empty.
+  struct Level {
+    explicit Level(uint32_t l)
+        : rows(l), occupant(size_t{1} << l, kNullPeer) {}
+    RoutingRows rows;
+    std::vector<PeerId> occupant;
+    /// Non-null entries of occupant; drives the O(1) height_ maintenance
+    /// in IndexPosition/UnindexPosition.
+    uint32_t occupied = 0;
+  };
+  /// levels_[l] for every level a member has reached. SetPosition adds
+  /// levels; none is removed when the tree shrinks.
+  std::vector<Level> levels_;
+  size_t size_ = 0;
   int height_ = -1;
-  /// Maintained only under config_.enable_recruit_directory (the skip-list
-  /// load-directory extension, off by default), keyed by Position::Packed().
-  /// The lightest-leaf search breaks ties on the packed position itself, so
-  /// its result is independent of this container's enumeration order.
-  util::FlatMap64<PeerId> recruit_dir_;
   std::vector<PeerId> failed_;
 
   bool defer_updates_ = false;
@@ -499,11 +501,12 @@ class BatonNetwork {
 
   /// Join scratch, cleared before each use so a join walk step does not
   /// allocate: FindJoinNode's next-hop candidates, open slots and lateral
-  /// jumps, and BuildChildTables' set of contacted parents.
+  /// jumps, and BuildChildTables' contacted parents (at most 2L of them for
+  /// a joiner at level L, so a linear search is enough).
   std::vector<PeerId> join_candidates_;
   std::vector<PeerId> join_open_slots_;
   std::vector<PeerId> join_lateral_;
-  util::FlatSet64 join_contacted_;
+  std::vector<PeerId> join_contacted_;
 
   uint64_t total_keys_ = 0;
   Histogram shift_sizes_;

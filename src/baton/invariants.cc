@@ -80,8 +80,8 @@ void BatonNetwork::CheckInvariants() const {
     }
 
     // Routing tables mirror the same-level occupancy exactly.
-    BATON_CHECK(n.pos.level < rows_.size() &&
-                rows_[n.pos.level].owner(n.row) == id)
+    BATON_CHECK(n.pos.level < levels_.size() &&
+                levels_[n.pos.level].rows.owner(n.row) == id)
         << "routing row of " << n.pos << " is not a row of level "
         << n.pos.level << " owned by peer " << id;
     for (bool left : {true, false}) {
@@ -140,7 +140,7 @@ void BatonNetwork::CheckInvariants() const {
   // The routing arena: members hold one row each (checked above), and no
   // other peer holds one, so the rows in use are exactly the members'.
   size_t rows_in_use = 0;
-  for (const RoutingRows& rows : rows_) rows_in_use += rows.in_use();
+  for (const Level& level : levels_) rows_in_use += level.rows.in_use();
   BATON_CHECK_EQ(rows_in_use, size()) << "routing rows in use vs members";
   for (const BatonNode& n : nodes_) {
     if (n.in_overlay) continue;

@@ -2,6 +2,8 @@
 // acceptance phase splits content, fixes adjacent links and constructs the
 // new node's routing tables with the message pattern the paper bounds by
 // 2*L1 + 2*L2 + 2*L2 + 1 < 6 log N.
+#include <algorithm>
+
 #include "baton/baton_network.h"
 
 namespace baton {
@@ -242,8 +244,8 @@ void BatonNetwork::BuildChildTables(BatonNode* x, BatonNode* y) {
   // parent in x's routing table (or it is x itself). x contacts each such
   // parent once; the parent forwards to its relevant child; the child
   // replies to y, installing the symmetric entries.
-  util::FlatSet64& contacted = join_contacted_;
-  contacted.Clear();
+  std::vector<PeerId>& contacted = join_contacted_;
+  contacted.clear();
   for (bool left : {true, false}) {
     for (int i = 0; i < y->TableSize(left); ++i) {
       Position q = RoutingTable::SlotPosition(y->pos, left, i);
@@ -264,7 +266,9 @@ void BatonNetwork::BuildChildTables(BatonNode* x, BatonNode* y) {
           continue;  // q's parent absent => q unoccupied (Theorem 2)
         }
         q_parent = N(qp);
-        if (contacted.Insert(q_parent->id)) {
+        if (std::find(contacted.begin(), contacted.end(), qp) ==
+            contacted.end()) {
+          contacted.push_back(qp);
           Count(x->id, q_parent->id, net::MsgType::kTableBuild);
           // Piggyback x's new range/child bits on this contact.
           SendRefUpdate(q_parent->id,

@@ -156,22 +156,17 @@ BatonNode* BatonNetwork::DirectoryFindLightLeaf(BatonNode* asker,
   for (int i = 0; i < hops; ++i) {
     Count(asker->id, asker->id, net::MsgType::kLoadProbe);
   }
-  // Equally light leaves tie-break on the packed tree position, so the
-  // choice is a function of the tree state alone, not of the directory
-  // container's enumeration order.
-  BATON_CHECK(config_.enable_recruit_directory);
+  // The walk goes level by level, left to right, and keeps the first of
+  // equally light leaves, so the choice is a function of the tree state.
   BatonNode* best = nullptr;
-  uint64_t best_pos = 0;
-  recruit_dir_.ForEach([&](uint64_t packed, PeerId id) {
-    BatonNode* f = N(id);
-    if (!f->IsLeaf() || !net_->IsAlive(id) || f->id == asker->id) return;
-    if (f->data.size() >= light_cap) return;
-    if (best == nullptr || f->data.size() < best->data.size() ||
-        (f->data.size() == best->data.size() && packed < best_pos)) {
-      best = f;
-      best_pos = packed;
+  for (const Level& level : levels_) {
+    for (PeerId id : level.occupant) {
+      if (id == kNullPeer || id == asker->id || !net_->IsAlive(id)) continue;
+      BatonNode* f = N(id);
+      if (!f->IsLeaf() || f->data.size() >= light_cap) continue;
+      if (best == nullptr || f->data.size() < best->data.size()) best = f;
     }
-  });
+  }
   if (best != nullptr) {
     Count(best->id, asker->id, net::MsgType::kLoadProbeReply);
   }

@@ -41,10 +41,6 @@ struct Position {
     BATON_CHECK_LT(level, kMaxLevel);
     return Position{level + 1, 2 * number};
   }
-  Position Sibling() const {
-    BATON_CHECK(!IsRoot());
-    return Position{level, IsLeftChild() ? number + 1 : number - 1};
-  }
 
   /// Number of slots on the level: numbers range over [1, 2^level].
   uint64_t LevelWidth() const { return uint64_t{1} << level; }
@@ -55,11 +51,6 @@ struct Position {
   uint64_t InOrderKey() const {
     BATON_CHECK_LE(level, kMaxLevel);
     return (2 * number - 1) << (kMaxLevel - level);
-  }
-
-  /// Dense packing for hash maps: level in the top bits.
-  uint64_t Packed() const {
-    return (static_cast<uint64_t>(level) << 52) | number;
   }
 
   bool operator==(const Position& o) const {

@@ -17,6 +17,8 @@
 // node order -- and hence the range partitioning -- is preserved. Each mover
 // pays O(log N) messages to rebuild its routing tables and notify the links
 // caching its old coordinates.
+#include <algorithm>
+
 #include "baton/baton_network.h"
 
 namespace baton {
@@ -129,27 +131,35 @@ bool BatonNetwork::TryBuildVacancyChain(const Position& vacated,
 
 void BatonNetwork::RelocateNodes(const std::vector<Move>& moves) {
   BATON_CHECK(!moves.empty());
+  // Every target is either empty or held by a mover, so the slots the chain
+  // creates are the targets empty before it starts. Their parents gain a
+  // child and must notify their cachers afterwards.
+  std::vector<Position> created_positions;
+  for (const Move& m : moves) {
+    if (OccupantOf(m.to) == kNullPeer) created_positions.push_back(m.to);
+  }
   // Phase 1: vacate old positions (a fresh joiner holds none yet).
-  util::FlatSet64 old_positions;
+  std::vector<Position> vacated_positions;
   for (const Move& m : moves) {
     if (OccupantOf(m.node->pos) == m.node->id) {
-      old_positions.Insert(m.node->pos.Packed());
+      vacated_positions.push_back(m.node->pos);
       UnindexPosition(m.node);
     }
   }
   // Phase 2: occupy new positions (tables are re-dimensioned and cleared).
-  // Track slots that were empty before the chain: their parents gain a
-  // child and must notify their cachers afterwards.
-  std::vector<Position> created_positions;
   for (const Move& m : moves) {
-    if (!old_positions.Contains(m.to.Packed()) &&
-        OccupantOf(m.to) == kNullPeer) {
-      created_positions.push_back(m.to);
-    }
     SetPosition(m.node, m.to);
     IndexPosition(m.node);
-    old_positions.Erase(m.to.Packed());
   }
+  // An old position no mover took is vacated for good; a vacancy chain
+  // leaves at most one.
+  auto retaken = [this](const Position& p) {
+    return OccupantOf(p) != kNullPeer;
+  };
+  vacated_positions.erase(std::remove_if(vacated_positions.begin(),
+                                         vacated_positions.end(), retaken),
+                          vacated_positions.end());
+  BATON_CHECK_LE(vacated_positions.size(), 1u);
 
   // Phase 3: each mover re-binds its vertical links and rebuilds its tables.
   // One kRestructureShift message models the position handover; table
@@ -215,12 +225,8 @@ void BatonNetwork::RelocateNodes(const std::vector<Move>& moves) {
     RefreshInboundRefs(N(pp), net::MsgType::kChildStatusNotify);
   }
 
-  // Phase 5: at most one slot was vacated for good (vacancy chains); clear
-  // the stale links pointing at it.
-  BATON_CHECK_LE(old_positions.size(), 1u);
-  old_positions.ForEach([&](uint64_t packed) {
-    Position vacated{static_cast<uint32_t>(packed >> 52),
-                     packed & ((uint64_t{1} << 52) - 1)};
+  // Phase 5: clear the stale links pointing at the slot vacated for good.
+  for (const Position& vacated : vacated_positions) {
     PeerId notifier = moves.back().node->id;
     if (!vacated.IsRoot()) {
       PeerId pp = OccupantOf(vacated.Parent());
@@ -235,7 +241,7 @@ void BatonNetwork::RelocateNodes(const std::vector<Move>& moves) {
       }
     }
     ClearReverseEntriesAt(vacated, notifier);
-  });
+  }
 }
 
 }  // namespace baton

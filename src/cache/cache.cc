@@ -21,9 +21,10 @@ Manager::Manager(const Config& cfg) : cfg_(cfg) {
 }
 
 int Manager::Lookup(net::PeerId node, uint64_t rk, RouteEntry* out) {
-  NodeCache* nc = nodes_.Find(node);
-  if (nc == nullptr || nc->entries.empty()) return -1;
+  if (node >= nodes_.size()) return -1;
+  NodeCache* nc = &nodes_[node];
   std::vector<RouteEntry>& v = nc->entries;
+  if (v.empty()) return -1;
   // Greatest lo <= rk; entries are sorted by lo and non-overlapping, so it
   // is the only candidate that can contain rk.
   auto it = std::upper_bound(
@@ -35,6 +36,11 @@ int Manager::Lookup(net::PeerId node, uint64_t rk, RouteEntry* out) {
   it->stamp = ++nc->tick;
   *out = *it;
   return static_cast<int>(it - v.begin());
+}
+
+Manager::NodeCache& Manager::CacheOf(net::PeerId node) {
+  if (node >= nodes_.size()) nodes_.resize(size_t{node} + 1);
+  return nodes_[node];
 }
 
 void Manager::InsertEntry(NodeCache* nc, uint64_t lo, uint64_t hi,
@@ -83,7 +89,7 @@ void Manager::InsertEntry(NodeCache* nc, uint64_t lo, uint64_t hi,
 void Manager::Learn(net::PeerId node, uint64_t lo, uint64_t hi,
                     net::PeerId owner, int cost) {
   if (cfg_.capacity == 0 || owner == net::kNullPeer) return;
-  NodeCache& nc = nodes_.GetOrInsert(node);
+  NodeCache& nc = CacheOf(node);
   if (lo == hi) {
     InsertEntry(&nc, 0, 0, owner, cost);  // owner spans the whole space
   } else if (lo < hi) {
@@ -97,19 +103,17 @@ void Manager::Learn(net::PeerId node, uint64_t lo, uint64_t hi,
 }
 
 void Manager::EvictStale(net::PeerId node, int slot) {
-  NodeCache* nc = nodes_.Find(node);
-  if (nc == nullptr || slot < 0 ||
-      static_cast<size_t>(slot) >= nc->entries.size()) {
-    return;
-  }
-  nc->entries.erase(nc->entries.begin() + slot);
+  if (node >= nodes_.size()) return;
+  std::vector<RouteEntry>& v = nodes_[node].entries;
+  if (slot < 0 || static_cast<size_t>(slot) >= v.size()) return;
+  v.erase(v.begin() + slot);
   ++stats_.stale;
   ++stats_.evictions;
   --total_entries_;
 }
 
 void Manager::InvalidatePeer(net::PeerId owner) {
-  nodes_.ForEach([&](uint64_t, NodeCache& nc) {
+  for (NodeCache& nc : nodes_) {
     auto dead = std::remove_if(
         nc.entries.begin(), nc.entries.end(),
         [owner](const RouteEntry& e) { return e.owner == owner; });
@@ -117,11 +121,11 @@ void Manager::InvalidatePeer(net::PeerId owner) {
     nc.entries.erase(dead, nc.entries.end());
     stats_.invalidations += removed;
     total_entries_ -= removed;
-  });
+  }
 }
 
 void Manager::InvalidateRange(uint64_t lo, uint64_t hi) {
-  nodes_.ForEach([&](uint64_t, NodeCache& nc) {
+  for (NodeCache& nc : nodes_) {
     auto dead = std::remove_if(
         nc.entries.begin(), nc.entries.end(), [lo, hi](const RouteEntry& e) {
           return Intersects(e.lo, e.hi, lo, hi);
@@ -130,13 +134,13 @@ void Manager::InvalidateRange(uint64_t lo, uint64_t hi) {
     nc.entries.erase(dead, nc.entries.end());
     stats_.invalidations += removed;
     total_entries_ -= removed;
-  });
+  }
 }
 
 bool Manager::NeedsRefresh(net::PeerId node) const {
   if (!fast_enabled()) return false;
-  const NodeCache* nc = nodes_.Find(node);
-  return (nc == nullptr ? 0 : nc->refreshed_version) != version_;
+  uint64_t mirrored = node < nodes_.size() ? nodes_[node].refreshed_version : 0;
+  return mirrored != version_;
 }
 
 void Manager::InstallSnapshot(std::vector<FastEntry> entries) {
@@ -145,7 +149,7 @@ void Manager::InstallSnapshot(std::vector<FastEntry> entries) {
 }
 
 void Manager::MarkRefreshed(net::PeerId node, uint64_t billed_msgs) {
-  nodes_.GetOrInsert(node).refreshed_version = version_;
+  CacheOf(node).refreshed_version = version_;
   ++stats_.refreshes;
   stats_.refresh_msgs += billed_msgs;
 }
@@ -160,8 +164,7 @@ const FastEntry* Manager::FastLookup(uint64_t rk) const {
 }
 
 size_t Manager::EntriesFor(net::PeerId node) const {
-  const NodeCache* nc = nodes_.Find(node);
-  return nc == nullptr ? 0 : nc->entries.size();
+  return node < nodes_.size() ? nodes_[node].entries.size() : 0;
 }
 
 }  // namespace cache

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "net/network.h"
-#include "util/flat_map.h"
 
 namespace baton {
 namespace cache {
@@ -161,10 +160,12 @@ class Manager {
   }
   void InsertEntry(NodeCache* nc, uint64_t lo, uint64_t hi,
                    net::PeerId owner, int cost);
+  /// nodes_[node], grown on demand.
+  NodeCache& CacheOf(net::PeerId node);
 
   Config cfg_;
   Stats stats_;
-  util::FlatMap64<NodeCache> nodes_;  // keyed by origin PeerId
+  std::vector<NodeCache> nodes_;  // indexed by origin PeerId
   size_t total_entries_ = 0;
 
   std::vector<FastEntry> fast_;

@@ -49,7 +49,7 @@ PeerId ChordNetwork::Bootstrap() {
   auto node = std::make_unique<ChordNode>();
   node->id = net_->Register();
   node->chord_id = HashPeer(node->id, salt_);
-  used_ids_.Insert(node->chord_id);
+  used_ids_.insert(node->chord_id);
   node->in_ring = true;
   node->successor = node->id;
   node->predecessor = node->id;
@@ -117,8 +117,7 @@ Result<PeerId> ChordNetwork::Join(PeerId contact) {
   uint64_t nonce = 0;
   do {
     n->chord_id = HashPeer(nid, salt_ ^ Mix64(nonce++));
-  } while (used_ids_.Contains(n->chord_id));
-  used_ids_.Insert(n->chord_id);
+  } while (!used_ids_.insert(n->chord_id).second);
 
   // Locate n's successor (counted as the join's search phase).
   int hops = 0;

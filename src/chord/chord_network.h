@@ -13,10 +13,10 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "net/network.h"
-#include "util/flat_map.h"
 #include "util/key_bag.h"
 #include "util/keys.h"
 #include "util/rng.h"
@@ -107,7 +107,7 @@ class ChordNetwork {
   uint64_t salt_;
   std::vector<std::unique_ptr<ChordNode>> nodes_;
   std::vector<PeerId> members_;  // kept sorted by chord_id
-  util::FlatSet64 used_ids_;  // collision re-hash (never reused)
+  std::set<ChordId> used_ids_;  // collision re-hash (never reused)
   uint64_t total_keys_ = 0;
 };
 

@@ -15,7 +15,6 @@
 
 #include "d3tree/d3tree_network.h"
 #include "util/check.h"
-#include "util/flat_map.h"
 
 namespace baton {
 namespace d3tree {
@@ -36,8 +35,7 @@ void D3TreeNetwork::CheckInvariants() const {
 
   std::vector<PeerId> members;
   members.reserve(live_count_);
-  util::FlatSet64 seen;
-  seen.Reserve(live_count_);
+  std::vector<bool> seen(nodes_.size(), false);  // indexed by PeerId
   uint64_t keys = 0;
 
   for (BucketId bid : order) {
@@ -76,7 +74,8 @@ void D3TreeNetwork::CheckInvariants() const {
       BATON_CHECK(m->in_overlay);
       BATON_CHECK_EQ(m->bucket, bid);
       BATON_CHECK(m->range.lo < m->range.hi);
-      BATON_CHECK(seen.Insert(m->id)) << "peer in two buckets";
+      BATON_CHECK(!seen[m->id]) << "peer in two buckets";
+      seen[m->id] = true;
       if (i > 0) {
         BATON_CHECK_EQ(N(bk->members[i - 1])->range.hi, m->range.lo);
       }

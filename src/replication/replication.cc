@@ -22,22 +22,28 @@ void ReplicationManager::SyncRecord(net::PeerId sender,
   rec->version = st.version;
 }
 
+ReplicationManager::PrimaryState& ReplicationManager::StateOf(
+    net::PeerId primary) {
+  if (primary >= primaries_.size()) primaries_.resize(size_t{primary} + 1);
+  return primaries_[primary];
+}
+
 void ReplicationManager::IndexHolder(net::PeerId holder, net::PeerId primary) {
-  held_for_.GetOrInsert(holder).push_back(primary);
+  if (holder >= held_for_.size()) held_for_.resize(size_t{holder} + 1);
+  held_for_[holder].push_back(primary);
 }
 
 void ReplicationManager::UnindexHolder(net::PeerId holder,
                                        net::PeerId primary) {
-  std::vector<net::PeerId>* v = held_for_.Find(holder);
-  if (v == nullptr) return;
-  for (size_t i = 0; i < v->size(); ++i) {
-    if ((*v)[i] == primary) {
-      (*v)[i] = v->back();
-      v->pop_back();
+  if (holder >= held_for_.size()) return;
+  std::vector<net::PeerId>& v = held_for_[holder];
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (v[i] == primary) {
+      v[i] = v.back();
+      v.pop_back();
       break;
     }
   }
-  if (v->empty()) held_for_.Erase(holder);
 }
 
 void ReplicationManager::PruneDeadHolders(net::PeerId primary,
@@ -78,7 +84,7 @@ void ReplicationManager::FullSync(net::PeerId primary, const KeyBag& data,
                                   net::PeerId sender) {
   if (!enabled()) return;
   if (sender == net::kNullPeer) sender = primary;
-  PrimaryState& st = primaries_.GetOrInsert(primary);
+  PrimaryState& st = StateOf(primary);
   ++st.version;  // the bag changed in bulk: every copy is now stale
   PruneDeadHolders(primary, &st);
   for (ReplicaRecord& rec : st.replicas) {
@@ -89,7 +95,7 @@ void ReplicationManager::FullSync(net::PeerId primary, const KeyBag& data,
 
 void ReplicationManager::PushInsert(net::PeerId primary, Key k) {
   if (!enabled()) return;
-  PrimaryState& st = primaries_.GetOrInsert(primary);
+  PrimaryState& st = StateOf(primary);
   ++st.version;
   if (!config_.eager_push) return;
   for (ReplicaRecord& rec : st.replicas) {
@@ -102,7 +108,7 @@ void ReplicationManager::PushInsert(net::PeerId primary, Key k) {
 
 void ReplicationManager::PushErase(net::PeerId primary, Key k) {
   if (!enabled()) return;
-  PrimaryState& st = primaries_.GetOrInsert(primary);
+  PrimaryState& st = StateOf(primary);
   ++st.version;
   if (!config_.eager_push) return;
   for (ReplicaRecord& rec : st.replicas) {
@@ -116,30 +122,25 @@ void ReplicationManager::PushErase(net::PeerId primary, Key k) {
 void ReplicationManager::DropPrimary(net::PeerId primary, net::PeerId notifier,
                                      bool charge) {
   if (!enabled()) return;
-  PrimaryState* st = primaries_.Find(primary);
-  if (st == nullptr) return;
-  for (const ReplicaRecord& rec : st->replicas) {
+  PrimaryState& st = StateOf(primary);
+  for (const ReplicaRecord& rec : st.replicas) {
     if (charge && net_->IsAlive(rec.holder)) {
       net_->Count(notifier, rec.holder, net::MsgType::kReplicaDrop);
     }
     UnindexHolder(rec.holder, primary);
   }
-  primaries_.Erase(primary);
+  st = PrimaryState{};
 }
 
 std::vector<net::PeerId> ReplicationManager::ReleaseHolder(
     net::PeerId holder) {
   std::vector<net::PeerId> affected;
   if (!enabled()) return affected;
-  std::vector<net::PeerId>* held_list = held_for_.Find(holder);
-  if (held_list == nullptr) return affected;
-  affected = std::move(*held_list);
-  held_for_.Erase(holder);
+  if (holder >= held_for_.size()) return affected;
+  affected.swap(held_for_[holder]);
   for (net::PeerId primary : affected) {
-    PrimaryState* pst = primaries_.Find(primary);
-    if (pst == nullptr) continue;
     auto held = [&](const ReplicaRecord& r) { return r.holder == holder; };
-    std::vector<ReplicaRecord>& reps = pst->replicas;
+    std::vector<ReplicaRecord>& reps = StateOf(primary).replicas;
     reps.erase(std::remove_if(reps.begin(), reps.end(), held), reps.end());
   }
   return affected;
@@ -147,16 +148,15 @@ std::vector<net::PeerId> ReplicationManager::ReleaseHolder(
 
 std::vector<net::PeerId> ReplicationManager::HeldPrimaries(
     net::PeerId holder) const {
-  const std::vector<net::PeerId>* v = held_for_.Find(holder);
-  return v == nullptr ? std::vector<net::PeerId>{} : *v;
+  return holder < held_for_.size() ? held_for_[holder]
+                                   : std::vector<net::PeerId>{};
 }
 
 bool ReplicationManager::RelocateReplica(
     net::PeerId primary, net::PeerId from,
     const std::vector<net::PeerId>& candidates) {
   if (!enabled()) return false;
-  PrimaryState* pst = primaries_.Find(primary);
-  if (pst == nullptr) return false;
+  PrimaryState* pst = &StateOf(primary);
   ReplicaRecord* rec = nullptr;
   for (ReplicaRecord& r : pst->replicas) {
     if (r.holder == from) rec = &r;
@@ -191,7 +191,7 @@ bool ReplicationManager::RelocateReplica(
 size_t ReplicationManager::TopUp(net::PeerId primary, const KeyBag& data,
                                  const std::vector<net::PeerId>& candidates) {
   if (!enabled()) return 0;
-  PrimaryState& st = primaries_.GetOrInsert(primary);
+  PrimaryState& st = StateOf(primary);
   PruneDeadHolders(primary, &st);
   return TopUpHolders(primary, primary, &st, data, candidates);
 }
@@ -199,7 +199,7 @@ size_t ReplicationManager::TopUp(net::PeerId primary, const KeyBag& data,
 bool ReplicationManager::Restore(net::PeerId failed, net::PeerId initiator,
                                  KeyBag* out) {
   if (!enabled()) return false;
-  const PrimaryState* st = primaries_.Find(failed);
+  const PrimaryState* st = FindState(failed);
   if (st == nullptr) return false;
   const ReplicaRecord* best = nullptr;
   for (const ReplicaRecord& rec : st->replicas) {
@@ -218,7 +218,7 @@ RepairStats ReplicationManager::Repair(
     const std::vector<net::PeerId>& candidates) {
   RepairStats stats;
   if (!enabled()) return stats;
-  PrimaryState& st = primaries_.GetOrInsert(primary);
+  PrimaryState& st = StateOf(primary);
   PruneDeadHolders(primary, &st);
   for (ReplicaRecord& rec : st.replicas) {
     net_->Count(primary, rec.holder, net::MsgType::kReplicaProbe);
@@ -234,12 +234,12 @@ RepairStats ReplicationManager::Repair(
 }
 
 size_t ReplicationManager::replica_count(net::PeerId primary) const {
-  const PrimaryState* st = primaries_.Find(primary);
+  const PrimaryState* st = FindState(primary);
   return st == nullptr ? 0 : st->replicas.size();
 }
 
 size_t ReplicationManager::live_replica_count(net::PeerId primary) const {
-  const PrimaryState* st = primaries_.Find(primary);
+  const PrimaryState* st = FindState(primary);
   if (st == nullptr) return 0;
   size_t live = 0;
   for (const ReplicaRecord& rec : st->replicas) {
@@ -251,7 +251,7 @@ size_t ReplicationManager::live_replica_count(net::PeerId primary) const {
 std::vector<net::PeerId> ReplicationManager::HoldersOf(
     net::PeerId primary) const {
   std::vector<net::PeerId> out;
-  const PrimaryState* st = primaries_.Find(primary);
+  const PrimaryState* st = FindState(primary);
   if (st == nullptr) return out;
   for (const ReplicaRecord& rec : st->replicas) {
     out.push_back(rec.holder);
@@ -261,7 +261,7 @@ std::vector<net::PeerId> ReplicationManager::HoldersOf(
 
 const KeyBag* ReplicationManager::ReplicaAt(net::PeerId primary,
                                             net::PeerId holder) const {
-  const PrimaryState* st = primaries_.Find(primary);
+  const PrimaryState* st = FindState(primary);
   if (st == nullptr) return nullptr;
   for (const ReplicaRecord& rec : st->replicas) {
     if (rec.holder == holder) return &rec.keys;
@@ -271,17 +271,17 @@ const KeyBag* ReplicationManager::ReplicaAt(net::PeerId primary,
 
 uint64_t ReplicationManager::total_replica_keys() const {
   uint64_t total = 0;
-  primaries_.ForEach([&total](uint64_t, const PrimaryState& st) {
+  for (const PrimaryState& st : primaries_) {
     for (const ReplicaRecord& rec : st.replicas) {
       total += rec.keys.size();
     }
-  });
+  }
   return total;
 }
 
 void ReplicationManager::CheckConsistent(net::PeerId primary,
                                          const KeyBag& data) const {
-  const PrimaryState* stp = primaries_.Find(primary);
+  const PrimaryState* stp = FindState(primary);
   if (stp == nullptr) return;
   const PrimaryState& st = *stp;
   for (const ReplicaRecord& rec : st.replicas) {

@@ -25,7 +25,6 @@
 
 #include "net/message.h"
 #include "net/network.h"
-#include "util/flat_map.h"
 #include "util/key_bag.h"
 #include "util/keys.h"
 
@@ -180,21 +179,26 @@ class ReplicationManager {
   void SyncRecord(net::PeerId sender, const PrimaryState& st,
                   ReplicaRecord* rec, const KeyBag& data);
 
+  /// primaries_[primary], grown on demand.
+  PrimaryState& StateOf(net::PeerId primary);
+  /// The primary's state, or nullptr past the end of primaries_.
+  const PrimaryState* FindState(net::PeerId primary) const {
+    return primary < primaries_.size() ? &primaries_[primary] : nullptr;
+  }
+
   /// Reverse-index bookkeeping: every replica add/remove goes through these
-  /// so ReleaseHolder stays O(replicas held) instead of scanning the map.
+  /// so ReleaseHolder stays O(replicas held) instead of scanning primaries_.
   void IndexHolder(net::PeerId holder, net::PeerId primary);
   void UnindexHolder(net::PeerId holder, net::PeerId primary);
 
   ReplicationConfig config_;
   net::Network* net_;
-  /// Keyed by primary peer id. Flat open-addressing maps (util/flat_map.h):
-  /// probed on every insert/erase push when replication is on, and never
-  /// iterated in an order-sensitive way (the only traversal is an
-  /// order-independent sum), so the container swap cannot perturb message
-  /// counts.
-  util::FlatMap64<PrimaryState> primaries_;
-  // holder -> primaries whose replica it currently holds.
-  util::FlatMap64<std::vector<net::PeerId>> held_for_;
+  /// Indexed by primary peer id (ids are dense and never reused). An id
+  /// past the end, like a dropped primary, has the empty state: version 0,
+  /// no replicas.
+  std::vector<PrimaryState> primaries_;
+  /// Indexed by holder peer id: the primaries whose replica it holds.
+  std::vector<std::vector<net::PeerId>> held_for_;
 };
 
 }  // namespace replication

@@ -1,10 +1,8 @@
-// Running mean/variance accumulator (Welford) for experiment series.
+// Running mean accumulator for experiment series.
 #ifndef BATON_UTIL_STATS_H_
 #define BATON_UTIL_STATS_H_
 
-#include <cmath>
 #include <cstdint>
-#include <limits>
 
 namespace baton {
 
@@ -12,31 +10,14 @@ class RunningStat {
  public:
   void Add(double x) {
     ++n_;
-    double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-    sum_ += x;
+    mean_ += (x - mean_) / static_cast<double>(n_);
   }
 
-  uint64_t count() const { return n_; }
   double mean() const { return n_ == 0 ? 0.0 : mean_; }
-  double sum() const { return sum_; }
-  double min() const { return n_ == 0 ? 0.0 : min_; }
-  double max() const { return n_ == 0 ? 0.0 : max_; }
-  double variance() const {
-    return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
-  }
-  double stddev() const { return std::sqrt(variance()); }
 
  private:
   uint64_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
 };
 
 }  // namespace baton

@@ -88,6 +88,40 @@ TEST(EdgeBaton, RebootstrapAfterEmpty) {
   EXPECT_TRUE(overlay.Insert(b, 600).ok());
   EXPECT_EQ(overlay.total_keys(), 1u);
   overlay.CheckInvariants();
+
+  // The directory keeps a grown tree's levels when the overlay drains, so
+  // an empty overlay must read as empty and regrow through them.
+  Rng rng(9);
+  auto grow = [&](PeerId first) {
+    std::vector<PeerId> peers{first};
+    for (int i = 1; i < 64; ++i) {
+      peers.push_back(
+          overlay.Join(peers[rng.NextBelow(peers.size())]).value());
+    }
+  };
+  auto deepest_level = [&] {
+    int deepest = -1;
+    for (PeerId m : overlay.Members()) {
+      deepest = std::max(deepest, static_cast<int>(overlay.node(m).pos.level));
+    }
+    return deepest;
+  };
+  grow(b);
+  ASSERT_EQ(overlay.size(), 64u);
+  EXPECT_GE(overlay.Height(), 6);
+  while (overlay.size() > 0) {
+    std::vector<PeerId> members = overlay.Members();
+    ASSERT_TRUE(overlay.Leave(members[rng.NextBelow(members.size())]).ok());
+    overlay.CheckInvariants();
+    EXPECT_EQ(overlay.Height(), deepest_level());
+  }
+  EXPECT_EQ(overlay.Height(), -1);
+  EXPECT_EQ(overlay.root(), kNullPeer);
+  grow(overlay.Bootstrap());
+  EXPECT_EQ(overlay.size(), 64u);
+  EXPECT_EQ(overlay.Height(), deepest_level());
+  EXPECT_GE(overlay.Height(), 6);
+  overlay.CheckInvariants();
 }
 
 TEST(EdgeBaton, QueryFromEveryNodeOnThreeNodeTree) {

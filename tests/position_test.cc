@@ -22,8 +22,6 @@ TEST(Position, ChildParentRoundTrip) {
   Position p{5, 17};
   EXPECT_EQ(p.LeftChild().Parent(), p);
   EXPECT_EQ(p.RightChild().Parent(), p);
-  EXPECT_EQ(p.LeftChild().Sibling(), p.RightChild());
-  EXPECT_EQ(p.RightChild().Sibling(), p.LeftChild());
 }
 
 TEST(Position, ChildNumbers) {
@@ -61,15 +59,6 @@ TEST(Position, InOrderKeyUniqueAcrossLevels) {
   }
   std::sort(keys.begin(), keys.end());
   EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
-}
-
-TEST(Position, PackedIsUniqueAndUnpackable) {
-  Position p{9, 300};
-  uint64_t packed = p.Packed();
-  EXPECT_EQ(packed >> 52, 9u);
-  EXPECT_EQ(packed & ((uint64_t{1} << 52) - 1), 300u);
-  EXPECT_NE(Position({9, 301}).Packed(), packed);
-  EXPECT_NE(Position({10, 300}).Packed(), packed);
 }
 
 TEST(Position, DeepLevelsDoNotOverflow) {

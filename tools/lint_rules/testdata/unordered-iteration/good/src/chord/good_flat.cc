@@ -1,8 +1,7 @@
-// Fixture: ordered/deterministic containers pass, and a recorded-baseline
-// exception survives behind an allow() pragma with a reason (the
-// recruit-directory pattern).
+// Fixture: ordered containers pass, and an exception survives behind an
+// allow() pragma with a reason.
 #include <map>
-#include <unordered_set>  // lint: allow(unordered-iteration) -- ablation figures were recorded against hash enumeration order
+#include <unordered_set>  // lint: allow(unordered-iteration) -- fixture: a reasoned exception passes
 
 namespace baton {
 

@@ -3,12 +3,10 @@
 Hash-container enumeration order is implementation-defined, so any protocol
 decision, message emission or table row derived from iterating one can vary
 across standard libraries -- silently breaking the byte-identical-tables
-contract. Protocol code uses util::FlatMap64/FlatSet64 (deterministic
-insertion-conscious probing) or ordered containers instead.
-
-The one historical exception is BATON's recruit directory, whose
-lightest-leaf tie-break was *recorded against* unordered_map enumeration in
-the ablation figures; it carries an explicit allow() pragma.
+contract. Protocol code keys its tables by dense ids (peer ids, tree
+positions) and so keeps them in vectors indexed by the id; a sparse key goes
+in an ordered container (std::map/std::set). An exception needs an allow()
+pragma with its reason; src/ has none.
 """
 
 import re
@@ -33,5 +31,5 @@ def check(tree):
             yield Finding(
                 NAME, path, lineno,
                 "unordered container in protocol code: iteration order is "
-                "implementation-defined; use util::FlatMap64/FlatSet64 or "
-                "an ordered container")
+                "implementation-defined; use a vector indexed by the (dense) "
+                "id or an ordered container")

@@ -1,10 +1,13 @@
 // Micro benchmarks (google-benchmark) for the core data structures: position
 // arithmetic, the routing-row move on a level change, key storage, the
 // in-order member walk over the position directory, end-to-end exact and
-// range search on a prebuilt overlay, and the Zipf sampler.
+// range search on a prebuilt overlay, the serving engine's open loop, and
+// the Zipf sampler.
 #include <benchmark/benchmark.h>
 
 #include "baton/baton.h"
+#include "bench_common/experiment.h"
+#include "serve/engine.h"
 #include "util/zipf.h"
 #include "workload/workload.h"
 
@@ -140,6 +143,42 @@ void BM_JoinLeaveCycle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JoinLeaveCycle)->Arg(1024);
+
+// serve::Engine's open loop on a 2,000-node load-balanced BATON bed: zipf:0.9
+// exact lookups under Poisson arrivals at 0.8 of the bed's closed-loop
+// capacity, serve-open-loop's reference load. An iteration serves the whole
+// trace; `per_op` is the time per admitted op, the overlay's work and the
+// engine's event loop together.
+void BM_EngineOpenLoop(benchmark::State& state) {
+  constexpr Key kDomainHi = 1000000000;
+  workload::UniformKeys preload(1, kDomainHi);
+  bench::Instance bed = bench::BuildPreloaded("baton", 2000, 7, 10, &preload);
+  workload::ZipfKeys zipf(1, kDomainHi, 0.9);
+  Rng key_rng(8);
+  workload::Trace trace;
+  for (int i = 0; i < 20000; ++i) {
+    trace.push_back({workload::OpType::kExact, zipf.Next(&key_rng), 0});
+  }
+  serve::Engine engine(bed.overlay.get(), &bed.members, {});
+  Rng calibration_rng(9);
+  const serve::EngineResult closed =
+      engine.RunClosedLoop(trace, &calibration_rng);
+  const double capacity = static_cast<double>(closed.completed) /
+                          static_cast<double>(closed.max_node_served);
+  uint64_t admitted = 0;
+  for (auto _ : state) {
+    serve::PoissonArrivals arrivals(0.8 * capacity, 10);
+    Rng op_rng(9);
+    serve::EngineResult res = engine.Run(trace, &arrivals, &op_rng);
+    benchmark::DoNotOptimize(res.completions.data());
+    admitted += res.admitted;
+  }
+  state.counters["per_op"] =
+      benchmark::Counter(static_cast<double>(admitted),
+                         benchmark::Counter::kIsRate |
+                             benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EngineOpenLoop)->Unit(benchmark::kMillisecond);
 
 void BM_ZipfSample(benchmark::State& state) {
   Rng rng(5);

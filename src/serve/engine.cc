@@ -1,8 +1,9 @@
 #include "serve/engine.h"
 
-#include <algorithm>
+#include <limits>
 #include <utility>
 
+#include "serve/tick_calendar.h"
 #include "util/check.h"
 
 namespace baton {
@@ -17,34 +18,24 @@ namespace {
 /// completion and the next hop's delivery.
 constexpr sim::Time kHopLatency = 1;
 
-/// One admitted operation's serving state: its arrival tick and its hop
-/// chain, the slice [next, end) of the run's flat receiver vector. `next`
-/// walks the chain as service completions release successive hops.
-struct InFlight {
-  sim::Time arrival = 0;
-  size_t next = 0;
-  size_t end = 0;
-};
+/// No arrival left: the calendar may run to its last event.
+constexpr sim::Time kNever = std::numeric_limits<sim::Time>::max();
 
-/// The one pending event of an in-flight op (24 bytes).
-struct Event {
-  enum class Kind : uint8_t {
+/// One admitted operation's serving state: its arrival tick, its hop chain
+/// -- the slice [next, end) of the run's flat receiver vector, which `next`
+/// walks as service completions release successive hops -- and what its one
+/// pending calendar event does.
+struct InFlight {
+  enum class Stage : uint8_t {
     kDeliver,   // hop `next` reaches its receiver's queue
     kServiced,  // the receiver finished servicing hop `next`
   };
-  sim::Time at;
-  uint64_t seq;  // scheduling order, the tie-break at an equal tick
-  uint32_t idx;  // trace index of the owning op
-  Kind kind;
+  sim::Time arrival = 0;
+  uint32_t next = 0;
+  uint32_t end = 0;
+  Stage pending = Stage::kDeliver;
 };
-
-/// Heap comparator inverted into a min-heap on (at, seq). Branch-free, so
-/// the heap's child selection does not hinge on a mispredicted jump.
-struct Later {
-  bool operator()(const Event& a, const Event& b) const {
-    return (a.at > b.at) | ((a.at == b.at) & (a.seq > b.seq));
-  }
-};
+static_assert(sizeof(InFlight) == 24, "one per trace op: keep it small");
 
 }  // namespace
 
@@ -62,6 +53,7 @@ struct Engine::RunState : net::MessageObserver {
         op_rng(rng),
         chained(outer),
         closed_loop(closed),
+        calendar(t.size()),
         nodes(e.cfg_.service_ticks),
         ops(t.size()) {}
   // The network holds this object's address for the whole run.
@@ -77,8 +69,7 @@ struct Engine::RunState : net::MessageObserver {
   bool closed_loop;
 
   sim::Time now = 0;
-  uint64_t next_seq = 0;
-  std::vector<Event> pending;     // heap: one event per in-flight op
+  TickCalendar calendar;          // one pending event per op, by trace index
   NodeModel nodes;
   EngineResult res;
   std::vector<InFlight> ops;      // by trace index
@@ -93,9 +84,9 @@ struct Engine::RunState : net::MessageObserver {
     }
   }
 
-  void Schedule(sim::Time at, size_t idx, Event::Kind kind) {
-    pending.push_back({at, next_seq++, static_cast<uint32_t>(idx), kind});
-    std::push_heap(pending.begin(), pending.end(), Later{});
+  void Schedule(sim::Time at, size_t idx, InFlight::Stage stage) {
+    ops[idx].pending = stage;
+    calendar.Push(at, static_cast<uint32_t>(idx));
   }
 
   /// Drives the run until no op is in flight and no arrival is left.
@@ -131,28 +122,26 @@ void Engine::RunState::Loop(Arrivals* arrivals) {
     arrival_at = arrivals->Next();
   }
   for (;;) {
-    // An arrival wins a tie with a continuation: in a single queue holding
-    // every arrival up front, each arrival would carry the lower sequence.
-    if (arriving < trace.size() &&
-        (pending.empty() || arrival_at <= pending.front().at)) {
-      now = arrival_at;
-      Admit(arriving);
-      if (++arriving < trace.size()) {
-        sim::Time t = arrivals->Next();
-        BATON_CHECK_GE(t, arrival_at) << "arrival times must be non-decreasing";
-        arrival_at = t;
+    // Continuations run up to, not at, the next arrival's tick: an arrival
+    // wins a tie, as it would in one queue holding every arrival up front.
+    const bool arrival_left = arriving < trace.size();
+    uint32_t idx = 0;
+    if (calendar.PopBefore(arrival_left ? arrival_at : kNever, &idx)) {
+      now = calendar.now();
+      if (ops[idx].pending == InFlight::Stage::kDeliver) {
+        Deliver(idx);
+      } else {
+        Serviced(idx);
       }
       continue;
     }
-    if (pending.empty()) return;
-    std::pop_heap(pending.begin(), pending.end(), Later{});
-    const Event ev = pending.back();
-    pending.pop_back();
-    now = ev.at;
-    if (ev.kind == Event::Kind::kDeliver) {
-      Deliver(ev.idx);
-    } else {
-      Serviced(ev.idx);
+    if (!arrival_left) return;
+    now = arrival_at;
+    Admit(arriving);
+    if (++arriving < trace.size()) {
+      sim::Time t = arrivals->Next();
+      BATON_CHECK_GE(t, arrival_at) << "arrival times must be non-decreasing";
+      arrival_at = t;
     }
   }
 }
@@ -166,19 +155,20 @@ bool Engine::RunState::Admit(size_t i) {
   }
   ++res.admitted;
 
+  BATON_CHECK_LE(hops.size(), UINT32_MAX)
+      << "hop chains index receivers in 32 bits";
   InFlight& fl = ops[i];
   fl.arrival = now;
-  fl.next = first;
-  fl.end = hops.size();
+  fl.next = static_cast<uint32_t>(first);
+  fl.end = static_cast<uint32_t>(hops.size());
   if (fl.next == fl.end) {
     // Origin answered locally: no messages, no service demand.
-    ++res.local_ops;
     ++res.completed;
     res.sojourn.Add(0);
     res.completions.push_back(now);
     return false;
   }
-  Schedule(now + kHopLatency, i, Event::Kind::kDeliver);
+  Schedule(now + kHopLatency, i, InFlight::Stage::kDeliver);
   return true;
 }
 
@@ -201,14 +191,13 @@ void Engine::RunState::Deliver(size_t idx) {
     return;
   }
   res.queue_wait.Add(adm.start - now);
-  res.queue_depth.Add(adm.ahead);
-  Schedule(adm.done, idx, Event::Kind::kServiced);
+  Schedule(adm.done, idx, InFlight::Stage::kServiced);
 }
 
 void Engine::RunState::Serviced(size_t idx) {
   InFlight& op = ops[idx];
   if (++op.next < op.end) {
-    Schedule(now + kHopLatency, idx, Event::Kind::kDeliver);
+    Schedule(now + kHopLatency, idx, InFlight::Stage::kDeliver);
     return;
   }
   Finish(idx, /*completed=*/true);
@@ -251,7 +240,6 @@ EngineResult Engine::RunInternal(const workload::Trace& trace,
                                  bool closed_loop) {
   BATON_CHECK(!members_->empty())
       << "Engine needs a bootstrapped overlay with at least one member";
-  BATON_CHECK_LE(trace.size(), UINT32_MAX) << "events index ops in 32 bits";
 
   // Capture every message the overlay sends during an admission, chaining
   // to whatever observer (obs::Observer, usually) was already attached so

@@ -28,12 +28,18 @@
 // The event loop is the engine's own. Arrival times are read through a
 // cursor: the time of op i+1 is drawn from Arrivals::Next() only once op i
 // is admitted. Every in-flight op has exactly one pending event -- its next
-// hop's delivery or its current hop's service completion -- kept as a
-// plain (tick, sequence, op, kind) record in a private heap, so the
-// pending set never holds more than one event per op in flight, whatever
-// the trace length. Ordering contract: events run in tick order; at an
-// equal tick, due arrivals come first, in trace order, then continuations
-// in the order they were scheduled.
+// hop's delivery or its current hop's service completion -- on a per-tick
+// calendar (serve::TickCalendar): a power-of-two ring of FIFO lists, one
+// per tick from the current one, threaded through a link per trace op and
+// doubled when a service completion lands past its end. Ordering contract:
+// events run in tick order; at an equal tick, due arrivals come first, in
+// trace order, then continuations in the order they were scheduled. The
+// calendar keeps that order by construction: nothing is ever scheduled
+// before the current tick, the calendar never advances past the next
+// arrival's tick, and each tick's list is taken in scheduling order. So
+// scheduling and taking an event compare nothing and allocate nothing, and
+// pending-event memory is the ring -- the longest backlog in ticks -- plus
+// one link per trace op, not a record per op in flight.
 //
 // Hops are serviced in causal send order, one service chain per op:
 // fan-out bursts serialize at their receivers rather than racing in
@@ -104,7 +110,6 @@ struct EngineResult {
   uint64_t completed = 0;  // ops whose full hop chain drained
   uint64_t dropped = 0;    // ops shed at an over-bound node queue
   uint64_t timed_out = 0;  // completed ops whose sojourn exceeded the deadline
-  uint64_t local_ops = 0;  // zero-message ops (completed at admission)
 
   /// Virtual time at which the last hop drained -- the run's horizon; the
   /// denominator of achieved throughput.
@@ -121,8 +126,6 @@ struct EngineResult {
   std::vector<sim::Time> completions;
   /// Per-message waiting time in node queues (service start - arrival).
   obs::LogHistogram queue_wait;
-  /// Per-message backlog found at admission (unserviced messages ahead).
-  obs::LogHistogram queue_depth;
 
   // ---- Bottleneck view (from the NodeModel) --------------------------------
   uint64_t max_node_served = 0;   // busiest node's serviced-message count

@@ -67,8 +67,6 @@ class NodeModel {
                : service_ticks_;
   }
 
-  uint64_t service_ticks() const { return service_ticks_; }
-
   /// Busiest node by serviced-message count: the bottleneck whose
   /// utilization bounds system capacity.
   uint64_t max_served() const { return max_served_; }

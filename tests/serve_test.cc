@@ -1,10 +1,14 @@
 // Tests for the serving engine: arrival processes, the FIFO node model's
-// Lindley recursion, open-loop queueing behaviour, overload accounting
-// (drops, timeouts), and the differential anchor -- closed-loop engine
-// replay matches workload::Replay aggregates exactly on every backend.
+// Lindley recursion, the event calendar's order, open-loop queueing
+// behaviour, overload accounting (drops, timeouts), and the differential
+// anchor -- closed-loop engine replay matches workload::Replay aggregates
+// exactly on every backend.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <memory>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -14,6 +18,7 @@
 #include "serve/arrivals.h"
 #include "serve/engine.h"
 #include "serve/node_model.h"
+#include "serve/tick_calendar.h"
 #include "sim/clock.h"
 #include "sim/latency.h"
 #include "util/check.h"
@@ -115,6 +120,101 @@ TEST(NodeModel, ZeroServiceTicksIsNullModel) {
   EXPECT_EQ(a.done, 7u);
   EXPECT_EQ(b.start, 7u);
   EXPECT_EQ(b.ahead, 0u);  // nothing ever waits
+}
+
+// ---------- TickCalendar ----------
+
+/// A min-queue on (tick, push sequence): the order the calendar must give.
+struct RefEvent {
+  sim::Time tick;
+  uint64_t seq;
+  uint32_t id;
+  bool operator>(const RefEvent& o) const {
+    return tick != o.tick ? tick > o.tick : seq > o.seq;
+  }
+};
+using RefQueue =
+    std::priority_queue<RefEvent, std::vector<RefEvent>, std::greater<>>;
+
+/// Takes one event before `limit` from both and checks they agree on
+/// whether one is due, which id it is, and where the current tick ends up.
+/// Callers wrap it in ASSERT_NO_FATAL_FAILURE: once the two disagree, the
+/// reference never drains.
+void ExpectSamePop(serve::TickCalendar* cal, RefQueue* ref, sim::Time limit,
+                   std::vector<uint32_t>* free_ids) {
+  uint32_t id = 0;
+  const bool due = !ref->empty() && ref->top().tick < limit;
+  ASSERT_EQ(cal->PopBefore(limit, &id), due) << "limit " << limit;
+  if (!due) {
+    ASSERT_EQ(cal->now(), limit);
+    return;
+  }
+  ASSERT_EQ(id, ref->top().id) << "tick " << ref->top().tick;
+  ASSERT_EQ(cal->now(), ref->top().tick);
+  ref->pop();
+  free_ids->push_back(id);
+}
+
+/// Seeded pushes and pops against the reference queue: same-tick runs,
+/// pushes far past the ring's end (so it grows several times) while the
+/// current tick's list is partly taken, limits that stop short of pending
+/// ticks, and long empty gaps.
+TEST(TickCalendar, MatchesPriorityQueueOnTickThenPushOrder) {
+  constexpr uint32_t kIds = 512;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    serve::TickCalendar cal(kIds);
+    RefQueue ref;
+    uint64_t seq = 0;
+    std::vector<uint32_t> free_ids;
+    for (uint32_t id = kIds; id-- > 0;) free_ids.push_back(id);
+    auto push = [&](sim::Time tick) {
+      const uint32_t id = free_ids.back();
+      free_ids.pop_back();
+      cal.Push(tick, id);
+      ref.push({tick, seq++, id});
+    };
+
+    // At a tick whose slot moves when the ring doubles: three ids, take
+    // one, then push past the ring's end and back onto the current tick.
+    ASSERT_NO_FATAL_FAILURE(ExpectSamePop(&cal, &ref, 100, &free_ids));
+    for (int i = 0; i < 3; ++i) push(101);
+    push(102);
+    ASSERT_NO_FATAL_FAILURE(ExpectSamePop(&cal, &ref, 200, &free_ids));
+    push(101 + 1000 * seed);
+    push(101);
+    push(102);
+
+    Rng rng(Mix64(seed));
+    for (int step = 0; step < 20000; ++step) {
+      const sim::Time now = cal.now();
+      const uint64_t roll = rng.NextBelow(100);
+      if (roll < 55 && !free_ids.empty()) {
+        const uint64_t reach = rng.NextBelow(10);
+        push(now + (reach < 3   ? 0
+                    : reach < 9 ? rng.NextBelow(8)
+                                : rng.NextBelow(5000)));
+      } else {
+        const sim::Time limit =
+            now + (roll < 98 ? rng.NextBelow(4) : 1 + rng.NextBelow(100000));
+        ASSERT_NO_FATAL_FAILURE(ExpectSamePop(&cal, &ref, limit, &free_ids));
+      }
+    }
+    while (!ref.empty()) {
+      ASSERT_NO_FATAL_FAILURE(ExpectSamePop(
+          &cal, &ref, std::numeric_limits<sim::Time>::max(), &free_ids));
+    }
+    uint32_t id = 0;
+    EXPECT_FALSE(cal.PopBefore(std::numeric_limits<sim::Time>::max(), &id));
+  }
+}
+
+TEST(TickCalendar, RefusesAnEventBeforeTheCurrentTick) {
+  serve::TickCalendar cal(4);
+  uint32_t id = 0;
+  EXPECT_FALSE(cal.PopBefore(10, &id));  // an empty calendar moves to 10
+  EXPECT_EQ(cal.now(), 10u);
+  EXPECT_DEATH(cal.Push(9, 0), "before the current tick");
 }
 
 // ---------- Engine ----------
@@ -444,6 +544,162 @@ TEST(Engine, ServicesEveryMessageOnce) {
   EXPECT_EQ(res.sojourn.count(), res.completed);
   // One service_ticks (= 1) occupancy per message the overlay counted.
   EXPECT_EQ(res.total_service_ticks, res.replay.total_messages);
+}
+
+/// At service_ticks = 0 every service completion lands on the tick its
+/// delivery runs at, so the calendar takes events pushed onto the tick it
+/// is taking. Nothing ever waits, and an op's sojourn is one tick of link
+/// latency per message, however many ops overlap.
+TEST(Engine, ZeroServiceTicksSojournIsOneTickPerMessage) {
+  for (const std::string& name : overlay::RegisteredNames()) {
+    SCOPED_TRACE(name);
+    Built a = Grow(name, 40, 11);
+    workload::Trace trace = MixedChurnTrace();
+
+    EngineConfig cfg;
+    cfg.service_ticks = 0;
+    Engine engine(a.ov.get(), &a.members, cfg);
+    serve::PoissonArrivals arrivals(3.0, 5);  // three ops per tick
+    Rng rng(42);
+    EngineResult res = engine.Run(trace, &arrivals, &rng);
+
+    EXPECT_EQ(res.completed, res.admitted);
+    EXPECT_EQ(res.queue_wait.count(), res.replay.total_messages);
+    EXPECT_EQ(res.queue_wait.max(), 0u);
+    obs::LogHistogram messages;
+    for (const workload::OpAggregate& agg : res.replay.per_op) {
+      messages.Merge(agg.messages_hist);
+    }
+    EXPECT_EQ(res.sojourn, messages);
+  }
+}
+
+/// The engine's timeline against a direct model of its ordering contract:
+/// one priority queue on (tick, sequence) that holds every arrival up front
+/// -- so an arrival wins a tie -- and each continuation as it is scheduled,
+/// serving the hop chains the same ops yield when applied one by one. Two
+/// arrivals per tick on a skewed trace make ties at every tick and
+/// backlogs far past the calendar's first ring; the second run bounds the
+/// queues, so ops drop.
+TEST(Engine, TimelineMatchesReferenceEventQueue) {
+  struct Receivers : net::MessageObserver {
+    void OnMessage(net::PeerId, net::PeerId to, net::MsgType, uint64_t,
+                   uint64_t) override {
+      hops.push_back(to);
+    }
+    std::vector<net::PeerId> hops;
+  };
+  struct Event {
+    enum Kind { kArrive, kDeliver, kServiced };
+    sim::Time at;
+    uint64_t seq;
+    size_t op;
+    Kind kind;
+    bool operator>(const Event& o) const {
+      return at != o.at ? at > o.at : seq > o.seq;
+    }
+  };
+  constexpr double kRate = 2.0;
+  workload::ZipfKeys zipf(1, 100000000, 0.99);
+  const workload::Trace trace = ExactTrace(600, &zipf, 21);
+
+  for (uint64_t max_queue : {0u, 3u}) {
+    SCOPED_TRACE(max_queue);
+    Built ground = Grow("baton", 60, 13);
+    Built served = Grow("baton", 60, 13);
+    EngineConfig cfg;
+    cfg.service_ticks = 3;
+    cfg.max_queue = max_queue;
+    cfg.timeout_ticks = 100;
+    cfg.node_service_overrides = {{ground.members[1], 7}};
+
+    // Every op's receivers, applied in trace order as admission does.
+    Receivers seen;
+    ground.ov->network()->AttachObserver(&seen);
+    workload::ReplayResult books;
+    std::vector<bool> admitted(trace.size());
+    std::vector<size_t> chain_begin(trace.size());
+    std::vector<size_t> chain_end(trace.size());
+    Rng r1(7);
+    for (size_t i = 0; i < trace.size(); ++i) {
+      chain_begin[i] = seen.hops.size();
+      admitted[i] = books.Record(
+          trace[i], workload::ApplyOp(*ground.ov, trace[i], &r1,
+                                      &ground.members),
+          false);
+      chain_end[i] = seen.hops.size();
+    }
+    ground.ov->network()->AttachObserver(nullptr);
+
+    std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
+    uint64_t seq = 0;
+    serve::FixedArrivals ref_arrivals(kRate);
+    for (size_t i = 0; i < trace.size(); ++i) {
+      queue.push({ref_arrivals.Next(), seq++, i, Event::kArrive});
+    }
+    NodeModel nodes(cfg.service_ticks);
+    for (const auto& [node, ticks] : cfg.node_service_overrides) {
+      nodes.SetNodeServiceTicks(node, ticks);
+    }
+    EngineResult want;
+    std::vector<sim::Time> arrived(trace.size());
+    std::vector<size_t> next(chain_begin);
+    sim::Time now = 0;
+    while (!queue.empty()) {
+      const Event ev = queue.top();
+      queue.pop();
+      now = ev.at;
+      const size_t i = ev.op;
+      if (ev.kind == Event::kArrive) {
+        if (!admitted[i]) continue;
+        ++want.admitted;
+        arrived[i] = now;
+        if (next[i] < chain_end[i]) {
+          queue.push({now + 1, seq++, i, Event::kDeliver});
+          continue;
+        }
+      } else if (ev.kind == Event::kDeliver) {
+        NodeModel::Admission adm =
+            nodes.Admit(seen.hops[next[i]], now, cfg.max_queue);
+        if (adm.accepted) {
+          want.queue_wait.Add(adm.start - now);
+          queue.push({adm.done, seq++, i, Event::kServiced});
+        } else {
+          ++want.dropped;
+        }
+        continue;
+      } else if (++next[i] < chain_end[i]) {
+        queue.push({now + 1, seq++, i, Event::kDeliver});
+        continue;
+      }
+      ++want.completed;
+      want.sojourn.Add(now - arrived[i]);
+      want.completions.push_back(now);
+      if (now - arrived[i] > cfg.timeout_ticks) ++want.timed_out;
+    }
+
+    Engine engine(served.ov.get(), &served.members, cfg);
+    serve::FixedArrivals arrivals(kRate);
+    Rng r2(7);
+    EngineResult got = engine.Run(trace, &arrivals, &r2);
+
+    EXPECT_EQ(got.admitted, want.admitted);
+    EXPECT_EQ(got.completed, want.completed);
+    EXPECT_EQ(got.dropped, want.dropped);
+    EXPECT_EQ(got.timed_out, want.timed_out);
+    EXPECT_EQ(got.makespan, now);
+    EXPECT_EQ(got.completions, want.completions);
+    EXPECT_EQ(got.sojourn, want.sojourn);
+    EXPECT_EQ(got.queue_wait, want.queue_wait);
+    EXPECT_EQ(got.peak_queue_depth, nodes.max_peak_depth());
+    EXPECT_EQ(got.max_node_served, nodes.max_served());
+    EXPECT_EQ(got.total_service_ticks, nodes.total_busy_ticks());
+    if (max_queue == 0) {
+      EXPECT_GT(got.peak_queue_depth * cfg.service_ticks, 500u);
+    } else {
+      EXPECT_GT(got.dropped, 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -194,7 +194,7 @@ SeedResult RunSeed(const std::string& name, size_t n, int s,
         rr.of(workload::OpType::kFailRegion);
     const workload::OpAggregate& ex = rr.of(workload::OpType::kExact);
     out.burst.bursts = fr.count;
-    out.burst.burst_msgs = fr.messages;
+    out.burst.burst_msgs = fr.messages_hist.sum();
     out.burst.exact_ops = ex.count;
     out.burst.exact_ok = ex.ok;
     out.burst.degraded = fr.degraded + ex.degraded;

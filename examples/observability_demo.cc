@@ -1,7 +1,7 @@
 // Observability walkthrough: attach an obs::Observer to an overlay, run a
 // small churn + query workload through the unified overlay::Overlay API,
-// then interrogate the metrics registry (global counters, per-operation
-// histograms, per-node load families) and export the causal trace as Chrome
+// then read the observer's typed metrics (message counters, per-operation
+// tallies, per-node load families) and export the causal trace as Chrome
 // trace-event JSON -- open observability_demo_trace.json in Perfetto
 // (https://ui.perfetto.dev) to see one span per operation with its message
 // deliveries nested underneath.
@@ -63,21 +63,22 @@ int main() {
         overlay->Join(members[rng.NextBelow(members.size())]).ok());
   }
 
-  // ---- The registry answers "what happened?" after the fact ---------------
-  const obs::Registry& m = observer.metrics();
+  // ---- The metrics answer "what happened?" after the fact ----------------
   std::printf("messages observed:   %llu (maintenance %llu, query %llu)\n",
-              static_cast<unsigned long long>(m.CounterValue("net.messages")),
+              static_cast<unsigned long long>(observer.messages()),
               static_cast<unsigned long long>(
-                  m.CounterValue("net.msgs.maintenance")),
-              static_cast<unsigned long long>(m.CounterValue("net.msgs.query")));
-  if (const obs::LogHistogram* h = m.FindHist("op.exact.latency_ticks")) {
-    std::printf("exact search ticks:  mean %.1f  p50 %llu  p99 %llu\n",
-                h->Mean(), static_cast<unsigned long long>(h->Quantile(0.5)),
-                static_cast<unsigned long long>(h->Quantile(0.99)));
-  }
+                  observer.messages(net::MsgCategory::kMaintenance)),
+              static_cast<unsigned long long>(
+                  observer.messages(net::MsgCategory::kQuery)));
+  const obs::LogHistogram& ticks =
+      observer.op(obs::OpKind::kExact).latency_hist;
+  std::printf("exact search ticks:  mean %.1f  p50 %llu  p99 %llu\n",
+              ticks.Mean(),
+              static_cast<unsigned long long>(ticks.Quantile(0.5)),
+              static_cast<unsigned long long>(ticks.Quantile(0.99)));
   // Per-node load distribution: is the message load balanced, or do a few
   // hot nodes carry the tree? (The paper's load-balance claim, measurable.)
-  obs::LogHistogram load = m.NodeLoad("node.msgs_in", overlay->size());
+  obs::LogHistogram load = obs::NodeLoad(observer.msgs_in(), overlay->size());
   std::printf("per-node msgs_in:    mean %.1f  p99 %llu  max %llu  (skew "
               "%.2fx)\n",
               load.Mean(), static_cast<unsigned long long>(load.Quantile(0.99)),

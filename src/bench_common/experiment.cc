@@ -311,7 +311,7 @@ Flag TimeoutFlag(uint64_t* dst, const char* help) {
 std::string KeyDistSpec::Label() const {
   if (kind == Kind::kUniform) return "uniform";
   char buf[32];
-  std::snprintf(buf, sizeof buf, "zipf:%.2g", theta);
+  std::snprintf(buf, sizeof buf, "zipf:%.6g", theta);
   return buf;
 }
 
@@ -572,7 +572,7 @@ void WriteObsArtifacts(const Options& opt, const std::vector<SeedTask>& tasks,
           << ", \"overlay\": \"" << JsonEscape(tasks[i].overlay)
           << "\", \"N\": " << tasks[i].n << ", \"seed\": " << tasks[i].seed
           << ", \"metrics\": ";
-      observers[i]->metrics().AppendJson(out);
+      observers[i]->AppendJson(out);
       out << "}";
       any = true;
     }

@@ -83,8 +83,8 @@ struct Options {
   /// Honoured by the observability-aware benches (bench_compare_overlays,
   /// bench_latency_query). Empty = tracing off.
   std::string trace_path;
-  /// --metrics=PATH: write one obs::Registry JSON snapshot per bench task
-  /// (an array of {overlay, N, seed, metrics} objects). Empty = off.
+  /// --metrics=PATH: write one obs::Observer::AppendJson snapshot per bench
+  /// task (an array of {overlay, N, seed, metrics} objects). Empty = off.
   std::string metrics_path;
 
   /// Request-key distributions from --key-dist=...; empty means the bench's
@@ -302,7 +302,7 @@ void Attach(Instance* inst, const Options& opt, uint64_t seed);
 /// request, from per-task observers aligned with `tasks` (null entries --
 /// tasks that ran unobserved -- are skipped). The trace file holds one
 /// Chrome trace "process" per task, labelled "<overlay> N=<n> seed=<s>";
-/// the metrics file holds a JSON array of per-task registry snapshots.
+/// the metrics file holds a JSON array of per-task metrics snapshots.
 /// Prints a one-line note per file written.
 void WriteObsArtifacts(const Options& opt, const std::vector<SeedTask>& tasks,
                        const std::vector<const obs::Observer*>& observers);

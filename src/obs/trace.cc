@@ -7,24 +7,20 @@
 namespace baton {
 namespace obs {
 
-void TraceRecorder::BeginSpan(const char* name, uint64_t tick) {
-  BATON_CHECK(!span_open_) << "op spans do not nest (open: " << open_.name
-                           << ", opening: " << name << ")";
+void TraceRecorder::BeginSpan(OpKind kind, uint64_t tick) {
+  BATON_CHECK(!span_open_) << "op spans do not nest (open: "
+                           << OpKindName(open_.kind)
+                           << ", opening: " << OpKindName(kind) << ")";
   open_ = OpSpan{};
-  open_.name = name;
+  open_.kind = kind;
   open_.begin = tick;
   span_open_ = true;
 }
 
-void TraceRecorder::EndSpan(uint64_t tick, bool ok, uint32_t peer, int hops,
-                            uint64_t messages, uint64_t latency_ticks) {
+void TraceRecorder::EndSpan(uint64_t tick, const OpOutcome& out) {
   BATON_CHECK(span_open_) << "EndSpan without a matching BeginSpan";
   open_.end = tick;
-  open_.ok = ok;
-  open_.peer = peer;
-  open_.hops = hops;
-  open_.messages = messages;
-  open_.latency_ticks = latency_ticks;
+  open_.out = out;
   spans_.push_back(open_);
   span_open_ = false;
 }
@@ -52,10 +48,11 @@ void WriteChromeTrace(std::ostream& out,
       sep();
       out << " {\"ph\": \"X\", \"pid\": " << pid << ", \"tid\": 0, \"ts\": "
           << s.begin << ", \"dur\": " << (s.end - s.begin) << ", \"cat\": "
-          << "\"op\", \"name\": \"" << s.name << "\", \"args\": {\"ok\": "
-          << (s.ok ? "true" : "false") << ", \"peer\": " << s.peer
-          << ", \"hops\": " << s.hops << ", \"messages\": " << s.messages
-          << ", \"latency_ticks\": " << s.latency_ticks << "}}";
+          << "\"op\", \"name\": \"" << OpKindName(s.kind)
+          << "\", \"args\": {\"ok\": " << (s.out.ok ? "true" : "false")
+          << ", \"peer\": " << s.out.peer << ", \"hops\": " << s.out.hops
+          << ", \"messages\": " << s.out.messages
+          << ", \"latency_ticks\": " << s.out.latency_ticks << "}}";
     }
     for (const MsgEvent& m : proc.recorder->messages()) {
       sep();

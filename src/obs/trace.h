@@ -14,7 +14,9 @@
 #ifndef BATON_OBS_TRACE_H_
 #define BATON_OBS_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -22,16 +24,48 @@
 namespace baton {
 namespace obs {
 
-/// One public overlay operation, bracketed by the measured wrapper.
-struct OpSpan {
-  const char* name;        // static op name ("exact", "join", ...)
-  uint64_t begin = 0;      // tick at operation start
-  uint64_t end = 0;        // tick at operation completion
-  uint32_t peer = 0;       // operation-specific peer from OpStats
+/// The public overlay operations the measured wrapper books, one tally and
+/// one span kind each.
+enum class OpKind : uint8_t {
+  kJoin,
+  kLeave,
+  kFail,
+  kRecover,
+  kInsert,
+  kDelete,
+  kExact,
+  kRange,
+};
+inline constexpr int kNumOpKinds = static_cast<int>(OpKind::kRange) + 1;
+
+/// Lowercase op names, indexed by OpKind: span names and the "op.<name>.*"
+/// metric rows.
+inline constexpr const char* kOpKindNames[] = {
+    "join", "leave", "fail", "recover", "insert", "delete", "exact", "range",
+};
+static_assert(std::size(kOpKindNames) == kNumOpKinds,
+              "kOpKindNames needs exactly one name per OpKind");
+
+constexpr const char* OpKindName(OpKind k) {
+  return kOpKindNames[static_cast<size_t>(k)];
+}
+
+/// Outcome of one public operation: the OpStats fields the observer
+/// records (a plain struct so obs/ stays below overlay/).
+struct OpOutcome {
+  bool ok = false;
+  uint32_t peer = 0;  // operation-specific peer from OpStats
   int hops = 0;
   uint64_t messages = 0;
   uint64_t latency_ticks = 0;
-  bool ok = false;
+};
+
+/// One public overlay operation, bracketed by the measured wrapper.
+struct OpSpan {
+  OpKind kind = OpKind::kJoin;
+  uint64_t begin = 0;  // tick at operation start
+  uint64_t end = 0;    // tick at operation completion
+  OpOutcome out;
 };
 
 /// One delivered message, causally inside the span that was open when it was
@@ -48,9 +82,8 @@ class TraceRecorder {
  public:
   /// Opens a span; public overlay operations never nest, so at most one
   /// span is open at a time (CHECK-enforced).
-  void BeginSpan(const char* name, uint64_t tick);
-  void EndSpan(uint64_t tick, bool ok, uint32_t peer, int hops,
-               uint64_t messages, uint64_t latency_ticks);
+  void BeginSpan(OpKind kind, uint64_t tick);
+  void EndSpan(uint64_t tick, const OpOutcome& out);
   void AddMessage(uint32_t from, uint32_t to, uint16_t type, uint64_t send,
                   uint64_t deliver);
 

@@ -16,10 +16,10 @@ const fault::Policy kNoPolicy{};
 /// is the exact message cost of the operation and st.latency_ticks its
 /// simulated critical-path time (0 with no latency model attached),
 /// whatever the backend did inside. With an observer attached the whole
-/// operation is additionally bracketed as one causal span named `op`, and
-/// its outcome feeds the per-op metrics.
+/// operation is additionally bracketed as one causal span of kind `op`, and
+/// its outcome feeds that kind's tally.
 template <typename Fn>
-OpStats Overlay::Measured(const char* op, PeerId origin, bool retryable,
+OpStats Overlay::Measured(obs::OpKind op, PeerId origin, bool retryable,
                           Fn&& fn) {
   net::Network* net = network();
   OpStats st;
@@ -27,10 +27,7 @@ OpStats Overlay::Measured(const char* op, PeerId origin, bool retryable,
   if (obs_ != nullptr) obs_->BeginOp(op, net->ObsClock());
   RunAttempts(net, origin, retryable, fn, &st);
   st.messages = net->total_messages() - before;
-  if (obs_ != nullptr) {
-    obs_->EndOp(op, net->ObsClock(),
-                {st.ok(), st.peer, st.hops, st.messages, st.latency_ticks});
-  }
+  if (obs_ != nullptr) obs_->EndOp(op, net->ObsClock(), st.outcome());
   return st;
 }
 
@@ -124,7 +121,7 @@ PeerId Overlay::RetryOrigin(PeerId origin, int attempt) const {
 }
 
 OpStats Overlay::Join(PeerId contact) {
-  OpStats st = Measured("join", contact, /*retryable=*/false,
+  OpStats st = Measured(obs::OpKind::kJoin, contact, /*retryable=*/false,
                         [&](PeerId c, OpStats* s) { DoJoin(c, s); });
   if (cache_ == nullptr || !st.ok()) return st;
   // The joiner's interval was carved out of an existing member's: routes
@@ -139,14 +136,14 @@ OpStats Overlay::Join(PeerId contact) {
 }
 
 OpStats Overlay::Leave(PeerId leaver) {
-  return Departure("leave", leaver, &Overlay::DoLeave);
+  return Departure(obs::OpKind::kLeave, leaver, &Overlay::DoLeave);
 }
 
 OpStats Overlay::Fail(PeerId victim) {
-  return Departure("fail", victim, &Overlay::DoFail);
+  return Departure(obs::OpKind::kFail, victim, &Overlay::DoFail);
 }
 
-OpStats Overlay::Departure(const char* op, PeerId peer,
+OpStats Overlay::Departure(obs::OpKind op, PeerId peer,
                            void (Overlay::*depart)(PeerId, OpStats*)) {
   // The interval must be read before the peer hands it over.
   uint64_t lo = 0;
@@ -162,29 +159,29 @@ OpStats Overlay::Departure(const char* op, PeerId peer,
 }
 
 OpStats Overlay::RecoverAllFailures() {
-  OpStats st = Measured("recover", kNullPeer, /*retryable=*/false,
+  OpStats st = Measured(obs::OpKind::kRecover, kNullPeer, /*retryable=*/false,
                         [&](PeerId, OpStats* s) { DoRecoverAllFailures(s); });
   if (cache_ != nullptr && st.ok()) cache_->BumpVersion();
   return st;
 }
 
 OpStats Overlay::Insert(PeerId from, Key key) {
-  return Measured("insert", from, /*retryable=*/false,
+  return Measured(obs::OpKind::kInsert, from, /*retryable=*/false,
                   [&](PeerId f, OpStats* st) { DoInsert(f, key, st); });
 }
 
 OpStats Overlay::Delete(PeerId from, Key key) {
-  return Measured("delete", from, /*retryable=*/false,
+  return Measured(obs::OpKind::kDelete, from, /*retryable=*/false,
                   [&](PeerId f, OpStats* st) { DoDelete(f, key, st); });
 }
 
 OpStats Overlay::ExactSearch(PeerId from, Key key) {
-  return Measured("exact", from, /*retryable=*/true,
+  return Measured(obs::OpKind::kExact, from, /*retryable=*/true,
                   [&](PeerId f, OpStats* st) { CacheAwareExact(f, key, st); });
 }
 
 OpStats Overlay::RangeSearch(PeerId from, Key lo, Key hi) {
-  return Measured("range", from, /*retryable=*/true,
+  return Measured(obs::OpKind::kRange, from, /*retryable=*/true,
                   [&](PeerId f, OpStats* st) { DoRangeSearch(f, lo, hi, st); });
 }
 

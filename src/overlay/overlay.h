@@ -107,6 +107,10 @@ struct [[nodiscard]] OpStats {
   int hops_saved = 0;
 
   bool ok() const { return status.ok(); }
+  /// The fields an obs::OpTally books.
+  obs::OpOutcome outcome() const {
+    return {ok(), peer, hops, messages, latency_ticks};
+  }
 };
 
 /// Abstract overlay backend. Public operations are non-virtual wrappers
@@ -147,10 +151,10 @@ class Overlay {
   /// AttachLatency: per instance, opt-in, non-owning, must outlive the
   /// attachment; pass nullptr to detach). The measured wrapper then opens a
   /// causal span per public operation and feeds its outcome into the
-  /// observer's metrics registry, while the network reports every delivered
-  /// message into the open span. With no observer attached (the default)
-  /// the hot paths gain nothing but a null check -- no allocations, and all
-  /// bench output stays byte-identical.
+  /// observer's tally for that operation kind, while the network reports
+  /// every delivered message into the open span. With no observer attached
+  /// (the default) the hot paths gain nothing but a null check -- no
+  /// allocations, and all bench output stays byte-identical.
   void AttachObserver(obs::Observer* obs) {
     obs_ = obs;
     network()->AttachObserver(obs);
@@ -320,14 +324,14 @@ class Overlay {
   /// Leave and Fail: runs `depart` (DoLeave or DoFail) on `peer` in the
   /// measured window and, when it succeeds, drops the routes covering the
   /// peer's former interval and every route to the peer.
-  OpStats Departure(const char* op, PeerId peer,
+  OpStats Departure(obs::OpKind op, PeerId peer,
                     void (Overlay::*depart)(PeerId, OpStats*));
   /// The measured wrapper: message count, obs span and the attempt loop.
   /// `retryable` marks read operations (safe to re-issue); `origin` is the
   /// peer the operation starts from (kNullPeer for membership repair ops
   /// with no caller-chosen origin).
   template <typename Fn>
-  OpStats Measured(const char* op, PeerId origin, bool retryable, Fn&& fn);
+  OpStats Measured(obs::OpKind op, PeerId origin, bool retryable, Fn&& fn);
   /// The body of Measured: one sim window per attempt, with retries under
   /// the policy given to SetResilience while a fault plan is attached.
   template <typename Fn>

@@ -6,23 +6,13 @@ namespace baton {
 namespace workload {
 
 void OpAggregate::Accumulate(const overlay::OpStats& st) {
-  ++count;
-  if (st.ok()) ++ok;
+  Add(st.outcome());
   if (st.found) ++found;
-  messages += st.messages;
-  // hops is signed and some backends report a negative sentinel on failed
-  // ops; a raw cast would wrap to ~2^64 and corrupt the aggregate.
-  uint64_t h = st.hops > 0 ? static_cast<uint64_t>(st.hops) : 0;
-  hops += h;
-  latency += st.latency_ticks;
   retries += static_cast<uint64_t>(st.retries > 0 ? st.retries : 0);
   timeouts += static_cast<uint64_t>(st.timeouts > 0 ? st.timeouts : 0);
   if (st.gave_up) ++gave_up;
   if (st.degraded) ++degraded;
   dropped_msgs += st.dropped_msgs;
-  hops_hist.Add(h);
-  messages_hist.Add(st.messages);
-  latency_hist.Add(st.latency_ticks);
 }
 
 AppliedOp ApplyOp(overlay::Overlay& ov, const Op& op, Rng* rng,

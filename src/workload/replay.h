@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "net/network.h"
-#include "obs/log_histogram.h"
+#include "obs/observer.h"
 #include "overlay/overlay.h"
 #include "util/rng.h"
 #include "workload/workload.h"
@@ -34,16 +34,16 @@ struct ReplayOptions {
   bool record_answers = false;
 };
 
-/// Per-OpType aggregate of the OpStats the overlay reported.
-struct OpAggregate {
-  uint64_t count = 0;        // ops executed (excluding skipped/unsupported)
-  uint64_t ok = 0;           // ops that returned OK
+/// Per-OpType aggregate of the OpStats the overlay reported: the observer's
+/// per-op tally (executed ops, ok ops, and one hops/messages/latency sample
+/// per executed op, so replays report p50/p90/p99 and not just means) plus
+/// the replay's own dispositions and resilience outcomes. The histograms
+/// are empty for an OpType the trace never executed, and every Mean*/
+/// quantile then reads 0.
+struct OpAggregate : obs::OpTally {
   uint64_t found = 0;        // searches that found stored keys
   uint64_t skipped = 0;      // guarded by kMinMembers
   uint64_t unsupported = 0;  // backend lacks the capability
-  uint64_t messages = 0;     // total OpStats::messages
-  uint64_t hops = 0;         // total OpStats::hops (negative hops clamp to 0)
-  uint64_t latency = 0;      // total OpStats::latency_ticks
 
   // Resilience outcomes (all zero without a fault plan attached).
   uint64_t retries = 0;       // total OpStats::retries
@@ -52,39 +52,15 @@ struct OpAggregate {
   uint64_t degraded = 0;      // ops that completed by absorbing faults
   uint64_t dropped_msgs = 0;  // total messages lost across ops
 
-  /// Full distributions behind the totals (one sample per executed op), so
-  /// replays report tail behaviour -- p50/p90/p99 -- not just means.
-  /// Log-bucketed and mergeable across seeds/tasks; empty for an OpType the
-  /// trace never executed (quantiles then read 0, like the means).
-  obs::LogHistogram hops_hist;
-  obs::LogHistogram messages_hist;
-  obs::LogHistogram latency_hist;
-
-  /// Folds one executed op's stats into the aggregate (counts, totals and
-  /// histograms; negative hops sentinels clamp to 0). ReplayResult::Record
+  /// Folds one executed op's stats into the aggregate. ReplayResult::Record
   /// also adds messages/latency to the trace-wide totals.
   void Accumulate(const overlay::OpStats& st);
 
-  double MeanMessages() const {
-    return count == 0 ? 0.0
-                      : static_cast<double>(messages) /
-                            static_cast<double>(count);
-  }
-  double MeanHops() const {
-    return count == 0 ? 0.0
-                      : static_cast<double>(hops) / static_cast<double>(count);
-  }
+  double MeanMessages() const { return messages_hist.Mean(); }
+  double MeanHops() const { return hops_hist.Mean(); }
   /// Mean simulated critical-path ticks per op (0 unless the overlay had a
   /// latency model attached during the replay).
-  ///
-  /// All Mean*/quantile accessors are total functions: a zero-op aggregate
-  /// (e.g. an OpType that was entirely capability-filtered) reads as 0
-  /// everywhere, never as a division by zero.
-  double MeanLatency() const {
-    return count == 0
-               ? 0.0
-               : static_cast<double>(latency) / static_cast<double>(count);
-  }
+  double MeanLatency() const { return latency_hist.Mean(); }
 };
 
 struct AppliedOp;

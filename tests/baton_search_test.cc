@@ -256,9 +256,8 @@ TEST(Search, NeverRoutesThroughRootUnlessDelivering) {
     ASSERT_TRUE(r.ok());
   }
   o.net.AttachObserver(nullptr);
-  const obs::Registry& m = observer.metrics();
-  ASSERT_EQ(m.CounterValue("net.msgs.query"), m.CounterValue("net.messages"));
-  const std::vector<uint64_t>& msgs_in = *m.FindPerNode("node.msgs_in");
+  ASSERT_EQ(observer.messages(net::MsgCategory::kQuery), observer.messages());
+  const std::vector<uint64_t>& msgs_in = observer.msgs_in();
   auto load = [&](PeerId p) { return p < msgs_in.size() ? msgs_in[p] : 0; };
   uint64_t total = 0;
   for (PeerId p : o.members) total += load(p);

@@ -197,8 +197,8 @@ TEST(ReplayLatency, AggregatesMatchPerOpTotals) {
   EXPECT_EQ(agg.count, 50u);
   // const:1 and purely sequential routing: aggregate latency == aggregate
   // hops, and the result-wide total matches the per-op sum.
-  EXPECT_EQ(agg.latency, agg.hops);
-  EXPECT_EQ(res.total_latency, agg.latency);
+  EXPECT_EQ(agg.latency_hist.sum(), agg.hops_hist.sum());
+  EXPECT_EQ(res.total_latency, agg.latency_hist.sum());
   EXPECT_DOUBLE_EQ(agg.MeanLatency(), agg.MeanHops());
   EXPECT_GT(agg.MeanLatency(), 0.0);
 }
@@ -241,7 +241,7 @@ TEST(ReplayLatency, NegativeHopSentinelsAreClampedNotWrapped) {
   workload::ReplayResult res = workload::Replay(ov, trace, &rng, &members);
   const workload::OpAggregate& agg = res.of(workload::OpType::kExact);
   EXPECT_EQ(agg.count, 5u);
-  EXPECT_EQ(agg.hops, 0u);
+  EXPECT_EQ(agg.hops_hist.sum(), 0u);
   EXPECT_EQ(agg.MeanHops(), 0.0);
 }
 

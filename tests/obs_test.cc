@@ -1,8 +1,9 @@
 // Tests for the obs/ observability subsystem wired through the overlay
-// stack: registry bookkeeping, observer message/op accounting, the
-// span-count == executed-ops contract, per-backend trace determinism, the
-// zero-overhead detached default, and the zero-op replay aggregates
-// (capability-filtered traces must read as 0 everywhere, never divide).
+// stack: per-node load distributions, observer message/op accounting, the
+// --metrics JSON schema, the span-count == executed-ops contract,
+// per-backend trace determinism, the zero-overhead detached default, and
+// the zero-op replay aggregates (capability-filtered traces must read as 0
+// everywhere, never divide).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -25,7 +26,7 @@ namespace {
 
 using obs::LogHistogram;
 using obs::Observer;
-using obs::Registry;
+using obs::OpKind;
 using overlay::Overlay;
 using workload::OpType;
 
@@ -72,29 +73,11 @@ workload::Trace MixedTrace(uint64_t seed, size_t n) {
   return workload::MakeChurnTrace(&rng, &keys, mix);
 }
 
-TEST(Registry, CountersGaugesHistsAndPerNode) {
-  Registry r;
-  ++r.Counter("a");
-  r.Counter("a") += 4;
-  r.Gauge("g") = -7;
-  r.Hist("h").Add(3);
-  r.Hist("h").Add(300);
-  auto& fam = r.PerNode("node.load");
-  Registry::IncNode(&fam, 2, 10);
-  Registry::IncNode(&fam, 5);
-
-  EXPECT_EQ(r.CounterValue("a"), 5u);
-  EXPECT_EQ(r.CounterValue("never-written"), 0u);
-  EXPECT_EQ(r.GaugeValue("g"), -7);
-  ASSERT_NE(r.FindHist("h"), nullptr);
-  EXPECT_EQ(r.FindHist("h")->count(), 2u);
-  EXPECT_EQ(r.FindHist("missing"), nullptr);
-  ASSERT_NE(r.FindPerNode("node.load"), nullptr);
-  EXPECT_EQ((*r.FindPerNode("node.load"))[2], 10u);
-
-  // NodeLoad turns the family into a distribution over [0, n): absent
-  // nodes count as zero-load samples.
-  LogHistogram load = r.NodeLoad("node.load", 6);
+TEST(NodeLoad, AbsentNodesCountAsZeroLoad) {
+  // NodeLoad turns a family into a distribution over [0, n): a node past
+  // the end of the family counts as a zero-load sample.
+  const std::vector<uint64_t> family = {0, 0, 10, 0, 1};
+  LogHistogram load = obs::NodeLoad(family, 6);
   EXPECT_EQ(load.count(), 6u);
   EXPECT_EQ(load.sum(), 11u);
   EXPECT_EQ(load.max(), 10u);
@@ -114,19 +97,63 @@ TEST(Observer, CountsEveryMessageTheNetworkCounts) {
   }
   uint64_t net_delta =
       net::Network::Delta(before, b.ov->network()->Snapshot());
-  const Registry& m = obs.metrics();
   // Every message the network counted while attached hit the observer.
-  EXPECT_EQ(m.CounterValue("net.messages"), net_delta);
+  EXPECT_EQ(obs.messages(), net_delta);
   EXPECT_GT(net_delta, 0u);
-  EXPECT_EQ(m.CounterValue("op.exact.count"), 200u);
-  EXPECT_EQ(m.CounterValue("op.exact.ok"), 200u);
-  ASSERT_NE(m.FindHist("op.exact.hops"), nullptr);
-  EXPECT_EQ(m.FindHist("op.exact.hops")->count(), 200u);
+  EXPECT_EQ(obs.op(OpKind::kExact).count, 200u);
+  EXPECT_EQ(obs.op(OpKind::kExact).ok, 200u);
+  EXPECT_EQ(obs.op(OpKind::kExact).hops_hist.count(), 200u);
   // Per-node receive counts partition the global message counter.
-  const auto* in = m.FindPerNode("node.msgs_in");
-  ASSERT_NE(in, nullptr);
-  uint64_t in_sum = std::accumulate(in->begin(), in->end(), uint64_t{0});
+  const std::vector<uint64_t>& in = obs.msgs_in();
+  uint64_t in_sum = std::accumulate(in.begin(), in.end(), uint64_t{0});
   EXPECT_EQ(in_sum, net_delta);
+}
+
+TEST(Observer, MetricsJsonPresenceRules) {
+  // The --metrics schema, pinned where the goldens cannot reach (their ops
+  // all succeed): an op's count and histograms appear once it has run and
+  // its ok once one has succeeded, an op that never ran has no entry, and
+  // every net.msgs.* counter and node.* family is always present.
+  Built b = Grow("chord", 9, 41);
+  Observer obs;
+  b.ov->AttachObserver(&obs);
+  overlay::OpStats range = b.ov->RangeSearch(b.members[0], 1000, 2000);
+  EXPECT_EQ(range.status.code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(b.ov->ExactSearch(b.members[1], 123456789).ok());
+  std::ostringstream out;
+  obs.AppendJson(out);
+  EXPECT_EQ(out.str(),
+            "{\"counters\": {\"net.messages\": 1, \"net.msgs.data\": 0, "
+            "\"net.msgs.failure\": 0, \"net.msgs.join_search\": 0, "
+            "\"net.msgs.leave_search\": 0, \"net.msgs.load_balance\": 0, "
+            "\"net.msgs.maintenance\": 0, \"net.msgs.other\": 0, "
+            "\"net.msgs.query\": 1, \"net.msgs.replication\": 0, "
+            "\"op.exact.count\": 1, \"op.exact.ok\": 1, "
+            "\"op.range.count\": 1}, "
+            "\"gauges\": {}, \"histograms\": {"
+            "\"op.exact.hops\": {\"count\": 1, \"mean\": 1, \"p50\": 1, "
+            "\"p90\": 1, \"p99\": 1, \"max\": 1}, "
+            "\"op.exact.latency_ticks\": {\"count\": 1, \"mean\": 0, "
+            "\"p50\": 0, \"p90\": 0, \"p99\": 0, \"max\": 0}, "
+            "\"op.exact.messages\": {\"count\": 1, \"mean\": 1, \"p50\": 1, "
+            "\"p90\": 1, \"p99\": 1, \"max\": 1}, "
+            "\"op.range.hops\": {\"count\": 1, \"mean\": 0, \"p50\": 0, "
+            "\"p90\": 0, \"p99\": 0, \"max\": 0}, "
+            "\"op.range.latency_ticks\": {\"count\": 1, \"mean\": 0, "
+            "\"p50\": 0, \"p90\": 0, \"p99\": 0, \"max\": 0}, "
+            "\"op.range.messages\": {\"count\": 1, \"mean\": 0, \"p50\": 0, "
+            "\"p90\": 0, \"p99\": 0, \"max\": 0}}, "
+            "\"per_node\": {"
+            "\"node.msgs_in\": {\"nodes\": 6, \"sum\": 1, \"mean\": 0.166667, "
+            "\"max\": 1, \"p50\": 0, \"p99\": 1}, "
+            "\"node.msgs_out\": {\"nodes\": 2, \"sum\": 1, \"mean\": 0.5, "
+            "\"max\": 1, \"p50\": 0, \"p99\": 1}, "
+            "\"node.replica_msgs\": {\"nodes\": 0, \"sum\": 0, \"mean\": 0, "
+            "\"max\": 0, \"p50\": 0, \"p99\": 0}, "
+            "\"node.restructure\": {\"nodes\": 0, \"sum\": 0, \"mean\": 0, "
+            "\"max\": 0, \"p50\": 0, \"p99\": 0}, "
+            "\"node.routing_touch\": {\"nodes\": 0, \"sum\": 0, \"mean\": 0, "
+            "\"max\": 0, \"p50\": 0, \"p99\": 0}}}");
 }
 
 TEST(Observer, SpanCountEqualsExecutedOps) {
@@ -177,8 +204,7 @@ TEST(Observer, RecoveredFailuresAddOneSpanEach) {
   // recovery is merged into the kFail aggregate but is its own span.
   uint64_t expected = executed + res.of(OpType::kFail).ok;
   EXPECT_EQ(obs.trace()->span_count(), expected);
-  EXPECT_EQ(obs.metrics().CounterValue("op.recover.count"),
-            res.of(OpType::kFail).ok);
+  EXPECT_EQ(obs.op(OpKind::kRecover).count, res.of(OpType::kFail).ok);
 }
 
 TEST(Observer, TraceIsByteIdenticalAcrossRunsPerBackend) {
@@ -221,8 +247,8 @@ TEST(Observer, DetachedRunIsIndistinguishable) {
     std::vector<uint64_t> sig;
     for (const auto& agg : res.per_op) {
       sig.push_back(agg.count);
-      sig.push_back(agg.messages);
-      sig.push_back(agg.hops);
+      sig.push_back(agg.messages_hist.sum());
+      sig.push_back(agg.hops_hist.sum());
     }
     sig.push_back(b.ov->network()->total_messages());
     return sig;
@@ -254,27 +280,12 @@ TEST(Replay, ZeroOpAggregatesReadAsZeroEverywhere) {
   EXPECT_EQ(res.total_messages, 0u);
 }
 
-TEST(Replay, AggregateHistogramsMatchTheTotals) {
-  Built b = Grow("baton", 48, 5);
-  workload::Trace trace = MixedTrace(5, 48);
-  Rng rng(Mix64(uint64_t{5} ^ 0x5eed));
-  workload::ReplayResult res = workload::Replay(*b.ov, trace, &rng, &b.members);
-  for (const auto& agg : res.per_op) {
-    EXPECT_EQ(agg.hops_hist.count(), agg.count);
-    EXPECT_EQ(agg.messages_hist.count(), agg.count);
-    EXPECT_EQ(agg.latency_hist.count(), agg.count);
-    EXPECT_EQ(agg.hops_hist.sum(), agg.hops);
-    EXPECT_EQ(agg.messages_hist.sum(), agg.messages);
-    EXPECT_EQ(agg.latency_hist.sum(), agg.latency);
-  }
-}
-
 TEST(Trace, ChromeJsonShape) {
   obs::TraceRecorder rec;
-  rec.BeginSpan("exact", 10);
+  rec.BeginSpan(OpKind::kExact, 10);
   rec.AddMessage(1, 2, 0, 10, 12);
   rec.AddMessage(2, 3, 0, 12, 15);
-  rec.EndSpan(15, true, 3, 2, 2, 5);
+  rec.EndSpan(15, {true, 3, 2, 2, 5});
   std::ostringstream out;
   obs::WriteChromeTrace(out, {{"test N=1", &rec}});
   std::string json = out.str();

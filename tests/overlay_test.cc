@@ -289,7 +289,7 @@ TEST(OverlayDifferential, ReplayAggregatesMatchNetworkTotals) {
     EXPECT_EQ(res.total_messages, raw);
 
     uint64_t per_op_sum = 0;
-    for (const auto& agg : res.per_op) per_op_sum += agg.messages;
+    for (const auto& agg : res.per_op) per_op_sum += agg.messages_hist.sum();
     EXPECT_EQ(per_op_sum, raw);
     b.ov->CheckInvariants();
   }

@@ -1,8 +1,9 @@
 // Micro benchmarks (google-benchmark) for the core data structures: position
-// arithmetic, the routing-row move on a level change, key storage, the
-// in-order member walk over the position directory, end-to-end exact and
-// range search on a prebuilt overlay, the serving engine's open loop, the
-// observer's booking of one operation, and the Zipf sampler.
+// arithmetic, the routing-row move on a level change, key storage (one heavy
+// bag's growth among it), the in-order member walk over the position
+// directory, end-to-end exact and range search on a prebuilt overlay, the
+// serving engine's open loop, the observer's booking of one operation, and
+// the Zipf sampler.
 #include <benchmark/benchmark.h>
 
 #include "baton/baton.h"
@@ -63,6 +64,23 @@ void BM_KeyBagCountInRange(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KeyBagCountInRange);
+
+// One fresh bag grown to 2^18 uniform keys per iteration, about as many as
+// the heaviest bag of lookup-uniform's joins-only 65,536-node bed holds
+// with load balancing off. items/s counts inserts.
+void BM_KeyBagGrow(benchmark::State& state) {
+  constexpr int64_t kKeys = int64_t{1} << 18;
+  Rng rng(3);
+  for (auto _ : state) {
+    KeyBag bag;
+    for (int64_t i = 0; i < kKeys; ++i) {
+      bag.Insert(rng.UniformInt(1, 1000000000));
+    }
+    benchmark::DoNotOptimize(bag.size());
+  }
+  state.SetItemsProcessed(state.iterations() * kKeys);
+}
+BENCHMARK(BM_KeyBagGrow)->Unit(benchmark::kMillisecond);
 
 void BM_MembersInOrderWalk(benchmark::State& state) {
   net::Network net;

@@ -19,10 +19,14 @@ void KeyBag::Flush() const {
 
 void KeyBag::Insert(Key k) {
   pending_.push_back(k);
-  if (pending_.size() >= kFlushThreshold) Flush();
+  if (pending_.size() >=
+      std::max(kMinMergeRun, sorted_.size() / kMergeDivisor)) {
+    Flush();
+  }
 }
 
 bool KeyBag::Erase(Key k) {
+  if (pending_.size() > kMinMergeRun) Flush();
   auto pit = std::find(pending_.begin(), pending_.end(), k);
   if (pit != pending_.end()) {
     pending_.erase(pit);
@@ -37,6 +41,7 @@ bool KeyBag::Erase(Key k) {
 }
 
 bool KeyBag::Contains(Key k) const {
+  if (pending_.size() > kMinMergeRun) Flush();
   if (std::find(pending_.begin(), pending_.end(), k) != pending_.end()) {
     return true;
   }

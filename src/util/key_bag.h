@@ -1,7 +1,17 @@
-// Per-node key storage: a sorted vector with a small unsorted insert buffer
-// (merged lazily). Nodes hold O(total/N) keys, so O(n) merges are cheap while
-// giving the order statistics load balancing needs (medians, range counts,
-// prefix extraction) without per-key allocation.
+// Per-node key storage: a sorted vector plus an unsorted insert buffer that
+// is merged into it lazily, giving the order statistics load balancing needs
+// (medians, range counts, prefix extraction) without per-key allocation.
+//
+// A bag can be far heavier than total/N: with load balancing off, the join
+// walk keeps splitting the same region, and in a joins-only 65,536-node
+// overlay one node owns a quarter of the key domain. So a merge waits for a
+// buffer in proportion to the bag: Insert merges when the buffer reaches
+// max(64, sorted run / 8), and a bag of n keys merges O(log n) times while
+// it grows, copying each key a constant number of times amortized. Contains
+// and Erase merge first once the buffer holds more than 64 keys, so a
+// membership read scans at most 64 unsorted keys; the order reads (Min,
+// Max, Median, Kth, CountInRange, Extract*, Absorb, SortedKeys) merge first
+// whatever the buffer's size.
 #ifndef BATON_UTIL_KEY_BAG_H_
 #define BATON_UTIL_KEY_BAG_H_
 
@@ -52,7 +62,11 @@ class KeyBag {
   mutable std::vector<Key> sorted_;
   mutable std::vector<Key> pending_;
 
-  static constexpr size_t kFlushThreshold = 64;
+  /// The shortest buffer an insert or membership read merges, and the
+  /// longest one a membership read scans.
+  static constexpr size_t kMinMergeRun = 64;
+  /// Insert's buffer may grow to sorted_.size() / kMergeDivisor.
+  static constexpr size_t kMergeDivisor = 8;
 };
 
 }  // namespace baton

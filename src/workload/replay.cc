@@ -153,8 +153,6 @@ bool ReplayResult::Record(const Op& op, const AppliedOp& applied,
       break;
   }
   agg->Accumulate(applied.stats);
-  total_messages += applied.stats.messages;
-  total_latency += applied.stats.latency_ticks;
   if (record_answers) {
     if (op.type == OpType::kExact) {
       exact_found.push_back(applied.stats.found);

@@ -52,8 +52,7 @@ struct OpAggregate : obs::OpTally {
   uint64_t degraded = 0;      // ops that completed by absorbing faults
   uint64_t dropped_msgs = 0;  // total messages lost across ops
 
-  /// Folds one executed op's stats into the aggregate. ReplayResult::Record
-  /// also adds messages/latency to the trace-wide totals.
+  /// Folds one executed op's stats into the aggregate.
   void Accumulate(const overlay::OpStats& st);
 
   double MeanMessages() const { return messages_hist.Mean(); }
@@ -67,8 +66,6 @@ struct AppliedOp;
 
 struct ReplayResult {
   std::array<OpAggregate, kNumOpTypes> per_op{};
-  uint64_t total_messages = 0;  // sum of OpStats::messages over the trace
-  uint64_t total_latency = 0;   // sum of OpStats::latency_ticks
 
   /// With ReplayOptions::record_answers: one entry per kExact op (was the
   /// key stored?) and per kRange op (stored keys in the range), in trace
@@ -82,9 +79,9 @@ struct ReplayResult {
   }
 
   /// Books one op that went through ApplyOp: its disposition into the op
-  /// type's aggregate, an executed op's stats into the aggregate and the
-  /// totals, and (with `record_answers`) its answer. Returns whether the op
-  /// executed. Replay and the serving engine share this bookkeeping.
+  /// type's aggregate, an executed op's stats into the aggregate, and (with
+  /// `record_answers`) its answer. Returns whether the op executed. Replay
+  /// and the serving engine share this bookkeeping.
   bool Record(const Op& op, const AppliedOp& applied, bool record_answers);
 };
 

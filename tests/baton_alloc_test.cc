@@ -1,53 +1,10 @@
-// Heap allocations on BATON's routing and join paths. This binary replaces
-// the global operator new with a counting one; every tests/*.cc file is its
-// own executable, so no other test runs under the counter.
+// Heap allocations on BATON's routing and join paths, counted by the global
+// operator new that alloc_counter.h puts in this binary.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_counter.h"
 #include "baton/baton.h"
 #include "fixtures.h"
-
-namespace {
-
-std::atomic<uint64_t> g_allocations{0};
-
-void* CountedAlloc(std::size_t n, std::size_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (n == 0) n = 1;
-  void* p = align <= alignof(std::max_align_t)
-                ? std::malloc(n)
-                : std::aligned_alloc(align, (n + align - 1) / align * align);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t n) { return CountedAlloc(n, 0); }
-void* operator new[](std::size_t n) { return CountedAlloc(n, 0); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return CountedAlloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return CountedAlloc(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace baton {
 namespace {
@@ -77,9 +34,7 @@ struct WarmBed : fixtures::Overlay {
   Key RandomKey() { return rng.UniformInt(1, 999999999); }
 };
 
-uint64_t Allocations() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
+using alloc_counter::Allocations;
 
 TEST(BatonAlloc, ExactSearchAllocatesNothing) {
   WarmBed bed;

@@ -1,6 +1,15 @@
-// Unit tests for KeyBag (per-node key storage with order statistics).
+// Unit tests for KeyBag (per-node key storage with order statistics). The
+// heavy-bag growth test counts heap allocations with the global operator new
+// that alloc_counter.h puts in this binary.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "alloc_counter.h"
 #include "util/key_bag.h"
 #include "util/rng.h"
 
@@ -219,6 +228,117 @@ TEST(KeyBag, AbsorbIntoEmptyAndFromEmpty) {
   EXPECT_TRUE(b.empty());
   a.Absorb(&b);  // absorbing an empty bag is a no-op
   EXPECT_EQ(a.size(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Heavy bags. Insert merges once the buffer reaches max(64, sorted / 8) keys,
+// and Contains and Erase merge first once it holds more than 64, so a bag
+// past 512 sorted keys answers reads over a buffer the small-bag tests above
+// never build.
+// ---------------------------------------------------------------------------
+
+TEST(KeyBag, HeavyBagDifferentialAgainstMultiset) {
+  // Every read below merges first, so each round starts with an empty
+  // buffer and sorted == size(). The round's batch is longer than 64 keys
+  // but shorter than sorted / 8, so no insert merges it, and the one read
+  // that follows lands on that buffer.
+  constexpr Key kWide = Key{1} << 40;
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE(seed);
+    Rng rng(Mix64(seed));
+    KeyBag bag;
+    std::multiset<Key> ref;
+    std::vector<Key> batch;
+    auto insert = [&](Key k) {
+      bag.Insert(k);
+      ref.insert(k);
+      batch.push_back(k);
+    };
+    for (int i = 0; i < 1024; ++i) insert(rng.UniformInt(-kWide, kWide));
+    ASSERT_EQ(bag.SortedKeys(), Sorted(ref));  // merged: nothing buffered
+    while (bag.size() < 20000) {
+      const size_t sorted = bag.size();
+      batch.clear();
+      const size_t len = 65 + rng.NextBelow(sorted / 8 - 65);
+      for (size_t i = 0; i < len; ++i) insert(rng.UniformInt(-kWide, kWide));
+      // Half the probes hit a buffered key, half (almost surely) miss.
+      const Key probe = rng.NextBool(0.5) ? rng.Pick(batch)
+                                          : rng.UniformInt(-kWide, kWide);
+      switch (rng.NextBelow(8)) {
+        case 0:
+          ASSERT_EQ(bag.Contains(probe), ref.count(probe) > 0);
+          break;
+        case 1: {
+          auto it = ref.find(probe);
+          ASSERT_EQ(bag.Erase(probe), it != ref.end());
+          if (it != ref.end()) ref.erase(it);
+          break;
+        }
+        case 2: {
+          size_t i = rng.NextBelow(ref.size());
+          ASSERT_EQ(bag.Kth(i), *std::next(ref.begin(), i));
+          break;
+        }
+        case 3:
+          ASSERT_EQ(bag.Median(), *std::next(ref.begin(), ref.size() / 2));
+          ASSERT_EQ(bag.Min(), *ref.begin());
+          ASSERT_EQ(bag.Max(), *ref.rbegin());
+          break;
+        case 4: {
+          Key lo = rng.UniformInt(-kWide, kWide);
+          Key hi = rng.UniformInt(-kWide, kWide);
+          if (hi < lo) std::swap(lo, hi);
+          ASSERT_EQ(bag.CountInRange(lo, hi),
+                    static_cast<size_t>(std::distance(ref.lower_bound(lo),
+                                                      ref.lower_bound(hi))));
+          break;
+        }
+        case 5: {  // split off the keys below the probe, then take them back
+          KeyBag low = bag.ExtractBelow(probe);
+          ASSERT_EQ(low.SortedKeys(), std::vector<Key>(
+                                          ref.begin(), ref.lower_bound(probe)));
+          bag.Absorb(&low);
+          break;
+        }
+        case 6: {
+          KeyBag high = bag.ExtractAtLeast(probe);
+          ASSERT_EQ(high.SortedKeys(),
+                    std::vector<Key>(ref.lower_bound(probe), ref.end()));
+          bag.Absorb(&high);
+          break;
+        }
+        default: {  // absorb a small bag, itself holding unmerged keys
+          KeyBag other;
+          size_t extra = rng.NextBelow(200);
+          for (size_t i = 0; i < extra; ++i) {
+            Key k = rng.UniformInt(-kWide, kWide);
+            other.Insert(k);
+            ref.insert(k);
+          }
+          bag.Absorb(&other);
+          ASSERT_TRUE(other.empty());
+          break;
+        }
+      }
+      ASSERT_EQ(bag.size(), ref.size());
+    }
+    EXPECT_EQ(bag.SortedKeys(), Sorted(ref));
+  }
+}
+
+/// Heap allocations growing one bag to 100,000 uniform keys may make. Each
+/// merge allocates the merged run once, so this counts merges: merging every
+/// 64 keys made 1,569 allocations, merging at sorted / 8 makes 67.
+constexpr uint64_t kHeavyGrowthAllocBudget = 200;
+
+TEST(KeyBag, HeavyBagGrowthMergesLogarithmicallyOften) {
+  Rng rng(17);
+  KeyBag bag;
+  const uint64_t before = alloc_counter::Allocations();
+  for (int i = 0; i < 100000; ++i) bag.Insert(rng.UniformInt(1, 999999999));
+  const uint64_t made = alloc_counter::Allocations() - before;
+  EXPECT_LE(made, kHeavyGrowthAllocBudget);
+  EXPECT_EQ(bag.size(), 100000u);
 }
 
 }  // namespace

@@ -277,7 +277,9 @@ TEST(Replay, ZeroOpAggregatesReadAsZeroEverywhere) {
   EXPECT_DOUBLE_EQ(agg.MeanLatency(), 0.0);
   EXPECT_EQ(agg.hops_hist.Quantile(0.5), 0u);
   EXPECT_EQ(agg.latency_hist.Quantile(0.99), 0u);
-  EXPECT_EQ(res.total_messages, 0u);
+  for (const workload::OpAggregate& a : res.per_op) {
+    EXPECT_EQ(a.messages_hist.sum(), 0u);
+  }
 }
 
 TEST(Trace, ChromeJsonShape) {

@@ -286,8 +286,6 @@ TEST(OverlayDifferential, ReplayAggregatesMatchNetworkTotals) {
     auto before = b.ov->network()->Snapshot();
     auto res = workload::Replay(*b.ov, trace, &replay_rng, &b.members);
     uint64_t raw = net::Network::Delta(before, b.ov->network()->Snapshot());
-    EXPECT_EQ(res.total_messages, raw);
-
     uint64_t per_op_sum = 0;
     for (const auto& agg : res.per_op) per_op_sum += agg.messages_hist.sum();
     EXPECT_EQ(per_op_sum, raw);
